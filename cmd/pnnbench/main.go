@@ -33,6 +33,7 @@ import (
 	"pnn"
 	"pnn/internal/baseline"
 	"pnn/internal/core"
+	"pnn/internal/datafile"
 	"pnn/internal/dist"
 	"pnn/internal/envelope"
 	"pnn/internal/geom"
@@ -925,6 +926,33 @@ func expMicrobench() {
 		dynN = 500
 	}
 
+	// The serving default: disks with the Exact quantifier. The extent
+	// grows with √n so density stays fixed; under -quick this is the
+	// 400-disk dataset pnnserve generates by default.
+	nc := 2000
+	if *quick {
+		nc = 400
+	}
+	cgen := datafile.DefaultGenParams()
+	cgen.N, cgen.Extent = nc, 5*math.Sqrt(float64(nc))
+	cfile, err := datafile.Generate("disks", cgen)
+	if err != nil {
+		panic(err)
+	}
+	cset, err := cfile.ContinuousSet()
+	if err != nil {
+		panic(err)
+	}
+	cidx, err := pnn.New(cset)
+	if err != nil {
+		panic(err)
+	}
+	cqs := make([]pnn.Point, 256)
+	for i := range cqs {
+		cqs[i] = pnn.Pt(r.Float64()*cgen.Extent, r.Float64()*cgen.Extent)
+	}
+	cq := func(i int) pnn.Point { return cqs[i%len(cqs)] }
+
 	benches := []struct {
 		name   string
 		params map[string]any
@@ -982,6 +1010,20 @@ func expMicrobench() {
 		{"exact-sweep", map[string]any{"n": np, "k": kp}, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				quantify.ExactAll(dpts, pqs[i%len(pqs)])
+			}
+		}},
+		{"exact-continuous", map[string]any{"n": nc, "quant": "exact"}, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := cidx.Probabilities(cq(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"expectednn-continuous", map[string]any{"n": nc}, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := cidx.ExpectedNN(cq(i)); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		{"spiral-0.05", map[string]any{"n": np, "k": kp, "eps": 0.05}, func(b *testing.B) {

@@ -1,6 +1,6 @@
 // Command pnnserve hosts named uncertain-point datasets behind the
 // pnnserve HTTP/JSON API: the full pnn.Index query surface plus
-// /healthz and /metrics, with request coalescing and an LRU result
+// /healthz and /metrics, with request coalescing and a segmented result
 // cache (see pnn/server).
 //
 // Usage:
@@ -55,7 +55,7 @@ import (
 
 var (
 	addr        = flag.String("addr", ":8080", "listen address")
-	cacheSize   = flag.Int("cache", 4096, "LRU result-cache entries (0 disables)")
+	cacheSize   = flag.Int("cache", 4096, "result-cache entries; never-hit keys are held to a quarter of them (0 disables)")
 	batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "coalescing window (0 disables)")
 	batchMax    = flag.Int("batch-max", 64, "max coalesced batch size")
 	batchWork   = flag.Int("batch-workers", 0, "workers per batch (0 = GOMAXPROCS)")

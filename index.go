@@ -221,8 +221,17 @@ func (ix *Index) buildContinuous(s *ContinuousSet) error {
 	switch q := ix.cfg.quant; q.kind {
 	case quantExact:
 		// No exact algorithm exists for continuous inputs; Eq. (1) is
-		// integrated numerically (the [CKP04]-style baseline).
-		ix.probs = func(p Point) []float64 { return s.IntegrateProbabilities(p, panels) }
+		// integrated numerically, over the Lemma 2.1 candidates only
+		// (bitwise equal to integrating every point).
+		ix.probs = func(p Point) []float64 {
+			return quantify.IntegrateInto(s.conts, toGeom(p), panels, make([]float64, len(s.conts)))
+		}
+		ix.probsInto = func(p Point, pi []float64) []float64 {
+			return quantify.IntegrateInto(s.conts, toGeom(p), panels, pi)
+		}
+		ix.sparseInto = func(p Point, dst []quantify.IndexProb) []quantify.IndexProb {
+			return quantify.IntegratePositiveInto(s.conts, toGeom(p), panels, dst)
+		}
 	case quantMonteCarlo:
 		ix.eps = q.eps
 		ix.twoSided = true
@@ -239,7 +248,9 @@ func (ix *Index) buildContinuous(s *ContinuousSet) error {
 	case quantVPr:
 		return fmt.Errorf("pnn: VPrDiagram requires discrete points: %w", ErrUnsupported)
 	}
-	ix.expected = func(p Point) (int, float64) { return s.ExpectedNN(p, panels) }
+	ix.expected = func(p Point) (int, float64) {
+		return quantify.ExpectedNNContinuous(s.conts, toGeom(p), panels)
+	}
 	return nil
 }
 

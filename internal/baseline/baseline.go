@@ -2,8 +2,9 @@
 // related-work section: brute-force NN≠0 evaluation (Lemma 2.1 applied
 // directly), per-query Monte Carlo without preprocessing, and the
 // numerical-integration quantification of [CKP04] for continuous
-// distributions (Eq. 1 integrated by adaptive Simpson). Every accelerated
-// structure in this repository is benchmarked against these.
+// distributions (Eq. 1 integrated by fixed-panel composite Simpson).
+// Every accelerated structure in this repository is benchmarked and
+// tested against these.
 package baseline
 
 import (
@@ -56,7 +57,11 @@ func MonteCarloPerQuery(pts []*dist.Discrete, q geom.Point, s int, r *rand.Rand)
 //
 // over the support [δ_i(q), Δ_i(q)], using composite Simpson with the
 // given number of panels. This is the [CKP04]-style numerical approach the
-// paper calls "quite expensive": each evaluation needs all n cdfs.
+// paper calls "quite expensive": each evaluation needs all n cdfs, so
+// IntegrateAll costs O(N²·panels). It is the full-N oracle: the Exact
+// quantifier of the pnn facade (quantify.IntegrateInto) integrates only
+// over the Lemma 2.1 candidates, in O(N + t²·panels) with t = |NN≠0(q)|,
+// and is tested to be bitwise equal to it.
 func IntegrateQuantification(pts []dist.Continuous, q geom.Point, i int, panels int) float64 {
 	if panels < 8 {
 		panels = 8

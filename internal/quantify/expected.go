@@ -26,7 +26,11 @@ func ExpectedDistanceDiscrete(p *dist.Discrete, q geom.Point) float64 {
 }
 
 // ExpectedDistanceContinuous returns E[d(q, P)] = ∫ r·g_q(r) dr over the
-// support by Simpson quadrature with the given panel count.
+// support by Simpson quadrature with the given panel count. The value is
+// clamped to the support's distance range [δ(q), Δ(q)], where the true
+// expectation always lies; the clamp only bites when the quadrature
+// itself is badly off (a density too peaked for the panel count), and it
+// is what lets ExpectedNNContinuous skip points by their bounds alone.
 func ExpectedDistanceContinuous(p dist.Continuous, q geom.Point, panels int) float64 {
 	if panels < 16 {
 		panels = 16
@@ -37,22 +41,14 @@ func ExpectedDistanceContinuous(p dist.Continuous, q geom.Point, panels int) flo
 	if hi <= lo {
 		return lo
 	}
-	n := panels
-	if n%2 == 1 {
-		n++
+	e := simpson(func(r float64) float64 { return r * p.DistPDF(q, r) }, lo, hi, panels)
+	if e < lo {
+		e = lo
 	}
-	h := (hi - lo) / float64(n)
-	f := func(r float64) float64 { return r * p.DistPDF(q, r) }
-	s := f(lo) + f(hi)
-	for i := 1; i < n; i++ {
-		x := lo + float64(i)*h
-		if i%2 == 0 {
-			s += 2 * f(x)
-		} else {
-			s += 4 * f(x)
-		}
+	if e > hi {
+		e = hi
 	}
-	return s * h / 3
+	return e
 }
 
 // ExpectedNNDiscrete returns the index minimizing the expected distance
@@ -67,14 +63,21 @@ func ExpectedNNDiscrete(pts []*dist.Discrete, q geom.Point) (int, float64) {
 	return best, bd
 }
 
-// ExpectedNNContinuous returns the index minimizing the expected distance.
+// ExpectedNNContinuous returns the index minimizing the expected distance
+// (the first such index on ties) and the minimum. Only the Lemma 2.1
+// candidates C(q) = {i : δ_i ≤ Δ_min} are integrated: a point outside
+// has E_i ≥ δ_i > Δ_min ≥ E_k for the argmin k of Δ, so it can neither
+// attain nor tie the minimum, and the answer equals the full scan's.
 func ExpectedNNContinuous(pts []dist.Continuous, q geom.Point, panels int) (int, float64) {
 	best, bd := -1, math.Inf(1)
-	for i, p := range pts {
-		if e := ExpectedDistanceContinuous(p, q, panels); e < bd {
+	sc := contPool.Get().(*contScratch)
+	sc.candidates(pts, q)
+	for _, i := range sc.cand {
+		if e := ExpectedDistanceContinuous(pts[i], q, panels); e < bd {
 			best, bd = i, e
 		}
 	}
+	contPool.Put(sc)
 	return best, bd
 }
 

@@ -71,7 +71,9 @@ type Quantifier struct {
 
 // Exact computes π_i(q) exactly: the Eq. (2) sweep for discrete points
 // (O(N log N) per query), numerical integration of Eq. (1) for
-// continuous ones (see WithIntegrationPanels). The default quantifier.
+// continuous ones (see WithIntegrationPanels), restricted to the
+// Lemma 2.1 candidates: O(N + t²·panels) per query with t = |NN≠0(q)|.
+// The default quantifier.
 func Exact() Quantifier { return Quantifier{kind: quantExact} }
 
 // MonteCarlo estimates π_i(q) from preprocessed random instantiations

@@ -24,7 +24,9 @@ func (s *DiscreteSet) PositiveProbabilities(q Point, eps float64) []IndexProb {
 // IntegrateProbabilities evaluates Eq. (1) for continuous points by
 // one-dimensional numerical quadrature with the given panel count — the
 // [CKP04]-style baseline. Accuracy grows with panels; 512 gives ~1e-4 on
-// well-conditioned inputs.
+// well-conditioned inputs. It integrates every point against every cdf,
+// O(N²·panels), and serves as the full-N oracle: the facade's Exact
+// path returns bitwise-equal values in O(N + t²·panels), t = |NN≠0(q)|.
 //
 // Deprecated: use New(set, WithIntegrationPanels(panels)).Probabilities.
 func (s *ContinuousSet) IntegrateProbabilities(q Point, panels int) []float64 {

@@ -32,6 +32,9 @@ go build ./...
 echo "== tests"
 go test ./...
 
+echo "== perfbench module tests"
+(cd perfbench && go test ./...)
+
 if [ "${CHECK_RACE:-0}" = "1" ]; then
   echo "== race (full matrix)"
   go test -race ./...

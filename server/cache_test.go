@@ -7,26 +7,61 @@ import (
 	"testing"
 )
 
-func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	c.Put("a", []byte("A"))
-	c.Put("b", []byte("B"))
-	if v, ok := c.Get("a"); !ok || !bytes.Equal(v, []byte("A")) {
-		t.Fatalf("get a = %q, %v", v, ok)
+// A scan of one-off keys never gets past probation, so it occupies at
+// most ⌈cap/4⌉ entries however long it runs.
+func TestResultCacheScanHeldToProbation(t *testing.T) {
+	for _, capacity := range []int{1, 2, 5, 16, 4096} {
+		c := newResultCache(capacity)
+		limit := (capacity + 3) / 4
+		for i := 0; i < 3*capacity+10; i++ {
+			c.Put(fmt.Sprintf("scan-%d", i), []byte("v"))
+			if n := c.Len(); n > limit {
+				t.Fatalf("cap %d: %d one-off keys cached, want ≤ %d", capacity, n, limit)
+			}
+		}
 	}
-	// "b" is now least recently used; inserting "c" must evict it.
-	c.Put("c", []byte("C"))
-	if _, ok := c.Get("b"); ok {
-		t.Error("b survived eviction despite being LRU")
+}
+
+// A key that has been hit once is protected: a long scan of one-off
+// keys evicts only within probation and never displaces it.
+func TestResultCacheHotKeySurvivesScan(t *testing.T) {
+	c := newResultCache(16)
+	c.Put("hot", []byte("H"))
+	if _, ok := c.Get("hot"); !ok {
+		t.Fatal("hot key missing right after Put")
 	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("a was evicted despite being MRU")
+	for i := 0; i < 10_000; i++ {
+		c.Put(fmt.Sprintf("scan-%d", i), []byte("v"))
 	}
-	if _, ok := c.Get("c"); !ok {
-		t.Error("c missing after insert")
+	if v, ok := c.Get("hot"); !ok || !bytes.Equal(v, []byte("H")) {
+		t.Fatalf("hot key lost to a scan: %q, %v", v, ok)
 	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d, want 2", c.Len())
+}
+
+// A looping key set larger than probation is evicted from probation
+// before its keys repeat; the ghost ring remembers them, so the repeat
+// misses are admitted to protected and the next loop hits throughout.
+func TestResultCacheLoopHitsThroughGhost(t *testing.T) {
+	const capacity, loop = 16, 8 // probation holds 4, the ghost ring 8
+	c := newResultCache(capacity)
+	pass := func() (hits int) {
+		for i := 0; i < loop; i++ {
+			key := fmt.Sprintf("loop-%d", i)
+			if _, ok := c.Get(key); ok {
+				hits++
+			} else {
+				c.Put(key, []byte(key))
+			}
+		}
+		return hits
+	}
+	pass()
+	pass()
+	if hits := pass(); hits != loop {
+		t.Fatalf("third pass hit %d of %d looping keys", hits, loop)
+	}
+	if c.Len() != loop {
+		t.Errorf("len = %d, want %d", c.Len(), loop)
 	}
 }
 
@@ -39,6 +74,11 @@ func TestResultCacheUpdateExisting(t *testing.T) {
 	}
 	if v, _ := c.Get("a"); !bytes.Equal(v, []byte("A2")) {
 		t.Errorf("get a = %q, want A2", v)
+	}
+	// "a" is protected now; a Put there replaces its bytes too.
+	c.Put("a", []byte("A3"))
+	if v, _ := c.Get("a"); !bytes.Equal(v, []byte("A3")) || c.Len() != 1 {
+		t.Errorf("get a = %q (len %d), want A3 (len 1)", v, c.Len())
 	}
 }
 

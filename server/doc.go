@@ -11,8 +11,8 @@
 // Each (dataset, backend, quantifier) engine is built lazily on first
 // use and kept for the life of the server. A coalescing Batcher merges
 // concurrent single-query requests against one engine into a single
-// pnn.Index.QueryBatchOps call, and an LRU cache replays encoded
-// responses for repeated hot queries. Because responses are cached and
+// pnn.Index.QueryBatchOps call, and a segmented (2Q-style) cache
+// replays encoded responses for repeated hot queries. Because responses are cached and
 // replayed as encoded bytes, a cached answer is byte-identical to a
 // freshly computed one (see pnn/api for the wire-format guarantees).
 //

@@ -112,12 +112,16 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // handleDebugObs serves GET /debug/obs: the registry's derived
 // statistics (p50/p99/p999 per histogram label) as JSON, for humans
 // and load harnesses that want latency numbers without a Prometheus
-// stack, plus a runtime-health block (goroutines, heap, GC pauses).
+// stack, plus a runtime-health block (goroutines, heap, GC pauses) and
+// the result cache's entry count.
 func (s *Server) handleDebugObs(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.reg.Snapshot()
 	rs := obs.ReadRuntimeStats()
 	snap.Runtime = &rs
-	s.writeJSON(w, http.StatusOK, snap, "")
+	s.writeJSON(w, http.StatusOK, struct {
+		obs.Snapshot
+		CacheEntries int `json:"cache_entries"`
+	}{snap, s.cache.Len()}, "")
 }
 
 // handleDebugTraces serves GET /debug/traces: the tracer's in-memory

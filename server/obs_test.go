@@ -186,6 +186,36 @@ func TestDebugObs(t *testing.T) {
 	}
 }
 
+// TestCacheEntriesObservable: the result cache's size shows as the
+// pnn_cache_entries gauge and as cache_entries in /debug/obs.
+func TestCacheEntriesObservable(t *testing.T) {
+	reg, _ := testRegistry(t)
+	srv := New(reg, Config{BatchWindow: -1})
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	getBody(t, hs, "/v1/nonzero?dataset=fleet&x=1&y=2")
+	getBody(t, hs, "/v1/nonzero?dataset=fleet&x=3&y=4")
+	_, _, body := getBody(t, hs, "/debug/obs")
+	var snap struct {
+		obs.Snapshot
+		CacheEntries int `json:"cache_entries"`
+	}
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatalf("decoding /debug/obs: %v\n%s", err, body)
+	}
+	if snap.CacheEntries != 2 {
+		t.Errorf("cache_entries = %d, want 2", snap.CacheEntries)
+	}
+	if g := snap.Gauges["pnn_cache_entries"][""]; g != 2 {
+		t.Errorf("pnn_cache_entries gauge = %v, want 2", g)
+	}
+	if _, _, body := getBody(t, hs, "/metrics"); !strings.Contains(string(body), "pnn_cache_entries 2") {
+		t.Errorf("metrics missing pnn_cache_entries 2:\n%s", body)
+	}
+}
+
 // TestRequestLogging checks the request-scoped structured log: one
 // line per request carrying the request ID, endpoint, dataset, status,
 // and duration — and the slow-query promotion to Warn.

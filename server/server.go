@@ -24,8 +24,9 @@ import (
 // Config tunes the serving behavior. The zero value is usable:
 // DefaultConfig documents the defaults applied to zero fields.
 type Config struct {
-	// CacheSize is the LRU result-cache capacity in entries; < 0
-	// disables caching, 0 means the default (4096).
+	// CacheSize is the result-cache capacity in entries; < 0 disables
+	// caching, 0 means the default (4096). Never-hit entries are held to
+	// a quarter of it (see resultCache).
 	CacheSize int
 	// BatchWindow is how long the coalescing batcher holds the first
 	// request of a batch before flushing; < 0 disables coalescing
@@ -223,6 +224,7 @@ func New(reg *Registry, cfg Config) *Server {
 		s.tracer = obs.NewTracer(cfg.TraceSampleRate, cfg.SlowQueryThreshold, cfg.TraceBuffer)
 	}
 	s.metrics.reg.NewGaugeFunc("pnn_datasets", func() float64 { return float64(reg.Len()) })
+	s.metrics.reg.NewGaugeFunc("pnn_cache_entries", func() float64 { return float64(s.cache.Len()) })
 	obs.RegisterRuntimeGauges(s.metrics.reg)
 	// Queue depth is read live from the batchers at scrape time: a
 	// sustained non-zero depth under a flat execute histogram is the
