@@ -1061,6 +1061,21 @@ func expMicrobench() {
 				dyn.insert()
 			}
 		}},
+		// The write→quantify path: every spiral TopK follows a write, so
+		// the row prices the first quantification after a mutation (a
+		// full static rebuild when the dynamic index answered through a
+		// view, a bucket merge now).
+		{"dyn-churn-spiral", map[string]any{"n": dynN, "k": 5, "quant": "spiral(0.05)"}, func(b *testing.B) {
+			dyn := newDynBench(b, dynN, pnn.WithQuantifier(pnn.SpiralSearch(0.05)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dyn.deleteOldest()
+				dyn.insert()
+				if _, err := dyn.d.TopK(dyn.q(i), 5); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		// The observability hot path (PR 7): one request's worth of metric
 		// work — endpoint counter increment, label lookup, histogram
 		// observe. The CI bench gate holds this at zero allocs/op so
@@ -1225,8 +1240,8 @@ type dynBench struct {
 	span float64
 }
 
-func newDynBench(b *testing.B, n int) *dynBench {
-	d, err := pnn.NewDynamic()
+func newDynBench(b *testing.B, n int, opts ...pnn.Option) *dynBench {
+	d, err := pnn.NewDynamic(opts...)
 	if err != nil {
 		b.Fatal(err)
 	}

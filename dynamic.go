@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"pnn/internal/core"
+	"pnn/internal/dist"
 	"pnn/internal/geom"
 	"pnn/internal/linf"
 	"pnn/internal/logmethod"
@@ -34,12 +35,28 @@ type PointID uint64
 // structure reports its members under the globally merged distance
 // bound — and re-verify across buckets with the exact Lemma 2.1
 // predicate, so every answer is bitwise identical to a freshly built
-// static Index over the surviving points. Quantification queries
-// (Probabilities, TopK, Threshold, PositiveProbabilities, ExpectedNN)
-// answer through a lazily rebuilt live view: the first such query after
-// a mutation rebuilds one static engine over the survivors (the exact
-// sweep is Θ(n) per query anyway, so the amortized rebuild does not
-// change the asymptotics), and subsequent queries reuse it.
+// static Index over the surviving points.
+//
+// Quantification queries (Probabilities, TopK, Threshold,
+// PositiveProbabilities, ExpectedNN) answer from the same state, with no
+// rebuild after a write, for every quantifier whose answer depends only
+// on the live points:
+//
+//   - discrete SpiralSearch merges each bucket's m(ρ,ε) nearest live
+//     locations (its kd-tree k-NN) into the m nearest overall and runs
+//     the Eq. (2) sweep on them — O(m log N) per bucket, with ρ, the
+//     maximum k and the live location count maintained per mutation;
+//   - Exact (discrete sweep, continuous pruned quadrature) and
+//     ExpectedNN run over the live points in rank order.
+//
+// Both paths order ties exactly as the static engine does, so answers
+// stay bitwise identical to a fresh static Index over the survivors.
+// MonteCarlo, MonteCarloBudget, continuous SpiralSearch and VPrDiagram
+// still answer through a lazily rebuilt static view: their
+// preprocessing draws seeded randomness (or builds a diagram) over the
+// whole set, so only a rebuild over the survivors reproduces the static
+// answer. The first such query after a mutation pays that rebuild
+// (DynamicStats.ViewBuilds counts them); later queries reuse the view.
 //
 // Supported options match New with two exceptions: BackendDiagram is
 // rejected (a diagram point-locates only its own static set and cannot
@@ -62,10 +79,27 @@ type DynamicIndex struct {
 	idToSlot  map[PointID]int
 	nextID    PointID
 
-	// view is the lazily rebuilt static engine answering quantification
-	// queries; nil until the first such query (or when empty).
-	view      *Index
-	viewDirty bool
+	// liveDists and liveConts hold the live points' distributions in
+	// rank order (parallel to liveSlots, for the kind's own field): the
+	// inputs the exact quantifiers and ExpectedNN sweep.
+	liveDists []*dist.Discrete
+	liveConts []dist.Continuous
+	// spread maintains m(ρ,ε)'s inputs over the live points; non-nil
+	// only for discrete SpiralSearch.
+	spread *liveSpread
+
+	// live is the quantification surface answering from the buckets
+	// and the live arena; useView routes probability queries to view
+	// instead (quantifiers with whole-set randomized preprocessing).
+	live    quantSurface
+	useView bool
+
+	// view is the lazily rebuilt static engine answering probability
+	// queries when useView is set; nil until the first such query (or
+	// when empty). viewBuilds counts its rebuilds.
+	view       *Index
+	viewDirty  bool
+	viewBuilds uint64
 
 	// rebuiltBase accumulates the rebuild-work counters of trackers
 	// retired by compact, so Stats reports a lifetime total.
@@ -82,7 +116,8 @@ const (
 )
 
 // dynItem is one inserted point: the public value plus its precomputed
-// geometry (only the fields of the index's kind are set).
+// geometry and distribution (only the fields of the index's kind are
+// set).
 type dynItem struct {
 	id    PointID
 	disk  DiskPoint
@@ -91,6 +126,8 @@ type dynItem struct {
 	gdisk geom.Disk
 	gdisc core.DiscretePoint
 	gsq   linf.Square
+	dc    dist.Continuous
+	dd    *dist.Discrete
 }
 
 // NewDynamic builds an empty dynamic engine. The point kind (disks,
@@ -138,6 +175,7 @@ func (d *DynamicIndex) setKind(k dynKind) error {
 		return fmt.Errorf("pnn: VPrDiagram requires discrete points: %w", ErrUnsupported)
 	}
 	d.kind = k
+	d.wireLive()
 	return nil
 }
 
@@ -147,7 +185,7 @@ func (d *DynamicIndex) InsertDisk(p DiskPoint) (PointID, error) {
 	if p.Support.R < 0 {
 		return 0, fmt.Errorf("pnn: negative disk radius %g", p.Support.R)
 	}
-	return d.insert(dynItem{disk: p, gdisk: toDisk(p.Support)}, dynContinuous)
+	return d.insert(dynItem{disk: p, gdisk: toDisk(p.Support), dc: p.continuous()}, dynContinuous)
 }
 
 // InsertDiscrete adds a discrete uncertain point (locations and weights
@@ -162,7 +200,7 @@ func (d *DynamicIndex) InsertDiscrete(p DiscretePoint) (PointID, error) {
 	if err != nil {
 		return 0, fmt.Errorf("pnn: %w", err)
 	}
-	return d.insert(dynItem{disc: p, gdisc: core.DiscretePoint{Locs: dd.Locs}}, dynDiscrete)
+	return d.insert(dynItem{disc: p, gdisc: core.DiscretePoint{Locs: dd.Locs}, dd: dd}, dynDiscrete)
 }
 
 // InsertSquare adds an L∞ square uncertain point and returns its
@@ -190,6 +228,7 @@ func (d *DynamicIndex) insert(it dynItem, k dynKind) (PointID, error) {
 	d.nextID++
 	d.idToSlot[it.id] = slot
 	d.liveSlots = append(d.liveSlots, slot)
+	d.addLive(&d.items[slot])
 	d.viewDirty = true
 	d.maybeCompact()
 	return it.id, nil
@@ -212,6 +251,7 @@ func (d *DynamicIndex) Delete(id PointID) error {
 	delete(d.idToSlot, id)
 	if i, found := slices.BinarySearch(d.liveSlots, slot); found {
 		d.liveSlots = slices.Delete(d.liveSlots, i, i+1)
+		d.removeLive(i, &d.items[slot])
 	}
 	d.viewDirty = true
 	if need {
@@ -277,6 +317,9 @@ func (d *DynamicIndex) buildBucket(slots []int) any {
 		b := &discBucket{pts: pts}
 		if d.cfg.backend == BackendIndex {
 			b.nn = nnq.NewDiscrete(pts)
+			b.locs = b.nn.Locations()
+		} else if d.spread != nil {
+			b.locs = nnq.NewLocationTree(pts)
 		}
 		return b
 	case dynSquare:
@@ -437,8 +480,9 @@ func (d *DynamicIndex) nonzeroLocked(q Point, dst []int) []int {
 }
 
 // viewIndex returns the static engine over the current survivors,
-// rebuilding it when a mutation has invalidated it. A nil engine (with
-// nil error) means the index is empty.
+// rebuilding it when a mutation has invalidated it — the path of the
+// quantifiers with whole-set randomized preprocessing (see useView). A
+// nil engine (with nil error) means the index is empty.
 func (d *DynamicIndex) viewIndex() (*Index, error) {
 	d.mu.RLock()
 	if !d.viewDirty {
@@ -478,6 +522,7 @@ func (d *DynamicIndex) viewIndex() (*Index, error) {
 	}
 	d.view = v
 	d.viewDirty = false
+	d.viewBuilds++
 	return v, nil
 }
 
@@ -511,71 +556,68 @@ func (d *DynamicIndex) liveSetLocked() (UncertainSet, error) {
 // order, bitwise identical to a static Index with the same options over
 // the survivors. An empty index answers an empty vector.
 func (d *DynamicIndex) Probabilities(q Point) ([]float64, error) {
-	v, err := d.viewIndex()
-	if err != nil {
-		return nil, err
-	}
-	if v == nil {
+	s, release, err := d.probSurface()
+	if s == nil {
+		if err != nil {
+			return nil, err
+		}
 		return []float64{}, nil
 	}
-	return v.Probabilities(q)
+	defer release()
+	return s.Probabilities(q)
 }
 
 // PositiveProbabilities reports the live points with π_i(q) > eps; see
 // Index.PositiveProbabilities.
 func (d *DynamicIndex) PositiveProbabilities(q Point, eps float64) ([]IndexProb, error) {
-	v, err := d.viewIndex()
-	if err != nil {
-		return nil, err
-	}
-	if v == nil {
+	s, release, err := d.probSurface()
+	if s == nil {
+		if err != nil {
+			return nil, err
+		}
 		return []IndexProb{}, nil
 	}
-	return v.PositiveProbabilities(q, eps)
+	defer release()
+	return s.PositiveProbabilities(q, eps)
 }
 
 // TopK returns the k most probable nearest neighbors among the live
 // points; see Index.TopK.
 func (d *DynamicIndex) TopK(q Point, k int) ([]IndexProb, error) {
-	v, err := d.viewIndex()
-	if err != nil {
+	s, release, err := d.probSurface()
+	if s == nil {
+		if err == nil && k < 0 {
+			err = fmt.Errorf("pnn: k must be non-negative, got %d: %w", k, ErrInvalidParam)
+		}
 		return nil, err
 	}
-	if v == nil {
-		if k < 0 {
-			return nil, fmt.Errorf("pnn: k must be non-negative, got %d: %w", k, ErrInvalidParam)
-		}
-		return nil, nil
-	}
-	return v.TopK(q, k)
+	defer release()
+	return s.TopK(q, k)
 }
 
 // Threshold classifies the live points against tau; see Index.Threshold.
 func (d *DynamicIndex) Threshold(q Point, tau float64) (ThresholdResult, error) {
-	v, err := d.viewIndex()
-	if err != nil {
+	s, release, err := d.probSurface()
+	if s == nil {
+		if err == nil && (math.IsNaN(tau) || math.IsInf(tau, 0)) {
+			err = fmt.Errorf("pnn: tau must be finite, got %g: %w", tau, ErrInvalidParam)
+		}
 		return ThresholdResult{}, err
 	}
-	if v == nil {
-		if math.IsNaN(tau) || math.IsInf(tau, 0) {
-			return ThresholdResult{}, fmt.Errorf("pnn: tau must be finite, got %g: %w", tau, ErrInvalidParam)
-		}
-		return ThresholdResult{}, nil
-	}
-	return v.Threshold(q, tau)
+	defer release()
+	return s.Threshold(q, tau)
 }
 
 // ExpectedNN returns the live point minimizing E[d(q, P_i)]; see
-// Index.ExpectedNN. An empty index answers (-1, 0).
+// Index.ExpectedNN. It never needs the view: the expected distance does
+// not depend on the quantifier. An empty index answers (-1, 0).
 func (d *DynamicIndex) ExpectedNN(q Point) (int, float64, error) {
-	v, err := d.viewIndex()
-	if err != nil {
-		return -1, 0, err
-	}
-	if v == nil {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if len(d.liveSlots) == 0 {
 		return -1, 0, nil
 	}
-	return v.ExpectedNN(q)
+	return d.live.ExpectedNN(q)
 }
 
 // ProbabilitiesInto is Probabilities writing into buf (resized to Len(),
@@ -583,14 +625,15 @@ func (d *DynamicIndex) ExpectedNN(q Point) (int, float64, error) {
 // Index.ProbabilitiesInto. The returned slice shares buf's memory and is
 // only valid until the next ProbabilitiesInto call with the same buffer.
 func (d *DynamicIndex) ProbabilitiesInto(q Point, buf []float64) ([]float64, error) {
-	v, err := d.viewIndex()
-	if err != nil {
-		return nil, err
-	}
-	if v == nil {
+	s, release, err := d.probSurface()
+	if s == nil {
+		if err != nil {
+			return nil, err
+		}
 		return buf[:0], nil
 	}
-	return v.ProbabilitiesInto(q, buf)
+	defer release()
+	return s.ProbabilitiesInto(q, buf)
 }
 
 // Eps returns the additive query accuracy of the configured quantifier
@@ -646,15 +689,19 @@ func (d *DynamicIndex) applyOp(r Request) OpResult {
 
 // DynamicStats reports the engine's amortized-cost counters: the live
 // point count, the arena garbage awaiting compaction, the bucket count
-// of the logarithmic decomposition, and the cumulative number of members
+// of the logarithmic decomposition, the cumulative number of members
 // passed through static bucket (re)builds since construction — the
 // Bentley–Saxe amortized work a rebuild-per-write design would pay in
-// full on every mutation.
+// full on every mutation — and the number of full static view builds.
+// ViewBuilds stays 0 for every quantifier answered from the buckets
+// (discrete SpiralSearch, Exact, and ExpectedNN under any quantifier);
+// it grows by at most one per write for the view-backed ones.
 type DynamicStats struct {
 	Live           int
 	Garbage        int
 	Buckets        int
 	RebuiltMembers uint64
+	ViewBuilds     uint64
 }
 
 // Stats returns the current cost counters.
@@ -666,6 +713,7 @@ func (d *DynamicIndex) Stats() DynamicStats {
 		Garbage:        len(d.items) - len(d.liveSlots),
 		Buckets:        len(d.tracker.Buckets()),
 		RebuiltMembers: d.rebuiltBase + d.tracker.Rebuilt(),
+		ViewBuilds:     d.viewBuilds,
 	}
 }
 
@@ -721,6 +769,10 @@ func (b *contBucket) report(q geom.Point, bound float64, dst []int) []int {
 type discBucket struct {
 	pts []core.DiscretePoint
 	nn  *nnq.DiscreteIndex // nil under BackendDirect
+	// locs is the members' location kd-tree for spiral retrieval: nn's
+	// own tree under BackendIndex, a bare one under BackendDirect with
+	// SpiralSearch, nil otherwise.
+	locs *nnq.LocationTree
 }
 
 func (b *discBucket) delta(q geom.Point, alive func(int) bool) (int, float64) {

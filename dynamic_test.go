@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -20,6 +21,9 @@ type dynHarness struct {
 	liveDiscs []DiscretePoint
 	liveSqs   []SquarePoint
 	ids       []PointID
+	// lattice draws discrete locations and queries from a small integer
+	// grid, so many locations share a site and retrieval distances tie.
+	lattice bool
 }
 
 func (h *dynHarness) insertRandom(r *rand.Rand) {
@@ -36,11 +40,15 @@ func (h *dynHarness) insertRandom(r *rand.Rand) {
 		h.liveDisks = append(h.liveDisks, p)
 		h.ids = append(h.ids, id)
 	case "discrete":
-		k := 1 + r.Intn(3)
-		p := DiscretePoint{}
-		cx, cy := r.Float64()*40, r.Float64()*40
-		for t := 0; t < k; t++ {
-			p.Locations = append(p.Locations, Pt(cx+r.Float64()*4-2, cy+r.Float64()*4-2))
+		var p DiscretePoint
+		if h.lattice {
+			p = h.latticeDiscrete(r)
+		} else {
+			k := 1 + r.Intn(3)
+			cx, cy := r.Float64()*40, r.Float64()*40
+			for t := 0; t < k; t++ {
+				p.Locations = append(p.Locations, Pt(cx+r.Float64()*4-2, cy+r.Float64()*4-2))
+			}
 		}
 		id, err := h.dyn.InsertDiscrete(p)
 		if err != nil {
@@ -82,6 +90,36 @@ func (h *dynHarness) deleteRandom(r *rand.Rand) {
 }
 
 func (h *dynHarness) liveLen() int { return len(h.ids) }
+
+// latticeSide is the grid of lattice cases: 36 sites shared by every
+// point, so the spiral's m-th nearest location ties with many others.
+const latticeSide = 6
+
+func (h *dynHarness) latticePoint(r *rand.Rand) Point {
+	return Pt(float64(r.Intn(latticeSide)), float64(r.Intn(latticeSide)))
+}
+
+// latticeDiscrete draws a point with 3 or 4 locations on independent
+// lattice sites. With k ≥ 3 an owner rarely has all its mass inside the
+// m retrieved locations, so the products in Eq. (2) stay nonzero up to
+// the m-th distance and a different choice among the locations tied
+// there changes the answer.
+func (h *dynHarness) latticeDiscrete(r *rand.Rand) DiscretePoint {
+	var p DiscretePoint
+	for t := 3 + r.Intn(2); t > 0; t-- {
+		p.Locations = append(p.Locations, h.latticePoint(r))
+	}
+	return p
+}
+
+// randomQuery returns a query point: a lattice site in lattice cases,
+// otherwise uniform over the data extent.
+func (h *dynHarness) randomQuery(r *rand.Rand) Point {
+	if h.lattice {
+		return h.latticePoint(r)
+	}
+	return Pt(r.Float64()*40, r.Float64()*40)
+}
 
 // static builds a fresh static Index over the survivors with the same
 // options the DynamicIndex was configured with.
@@ -213,6 +251,14 @@ func TestDynamicEquivalence(t *testing.T) {
 		{"discrete/index/spiral", "discrete", []Option{WithQuantifier(SpiralSearch(0.1))}},
 		{"squares/index", "squares", nil},
 		{"squares/direct", "squares", []Option{WithNonzeroBackend(BackendDirect)}},
+		// Spiral retrieval from the buckets under both backends, and on
+		// the lattice, where the m-th retrieved distance ties: the kd
+		// k-NN and the bucket merge must both break ties by id order to
+		// select and sweep the static engine's locations.
+		{"discrete/direct/spiral", "discrete", []Option{WithNonzeroBackend(BackendDirect), WithQuantifier(SpiralSearch(0.1))}},
+		{"lattice/index/spiral", "lattice", []Option{WithQuantifier(SpiralSearch(0.1))}},
+		{"lattice/direct/spiral", "lattice", []Option{WithNonzeroBackend(BackendDirect), WithQuantifier(SpiralSearch(0.1))}},
+		{"lattice/index/exact", "lattice", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -221,7 +267,11 @@ func TestDynamicEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := &dynHarness{t: t, dyn: dyn, opts: tc.opts, kind: tc.kind}
+			kind, lattice := tc.kind, tc.kind == "lattice"
+			if lattice {
+				kind = "discrete"
+			}
+			h := &dynHarness{t: t, dyn: dyn, opts: tc.opts, kind: kind, lattice: lattice}
 			hasQuant := tc.kind != "squares"
 			steps := 120
 			if testing.Short() {
@@ -239,7 +289,7 @@ func TestDynamicEquivalence(t *testing.T) {
 				// Compare a couple of query points per step: one random,
 				// one at a live point's center (ties and degeneracies).
 				if step%4 == 0 {
-					q := Pt(r.Float64()*40, r.Float64()*40)
+					q := h.randomQuery(r)
 					h.compareAll(q, hasQuant)
 					h.compareAll(h.someCenter(r), hasQuant)
 				}
@@ -386,5 +436,130 @@ func TestDynamicIDsAndRanks(t *testing.T) {
 	}
 	if len(top) != 1 || top[0].Index != 3 {
 		t.Fatalf("TopK at deleted-shifted rank = %v, want index 3", top)
+	}
+}
+
+// TestDynamicViewBuilds pins which quantifiers answer from the buckets:
+// over interleaved mutation/query rounds, discrete SpiralSearch,
+// discrete and disk Exact, and ExpectedNN (under a view-backed
+// quantifier) never build the static view, while MonteCarlo rebuilds it
+// after every write.
+func TestDynamicViewBuilds(t *testing.T) {
+	cases := []struct {
+		name     string
+		kind     string
+		opts     []Option
+		expected bool // query ExpectedNN (and Nonzero) only
+		views    bool // the probability queries need the view
+	}{
+		{"discrete/spiral", "discrete", []Option{WithQuantifier(SpiralSearch(0.05))}, false, false},
+		{"discrete/exact", "discrete", nil, false, false},
+		{"disks/exact", "disks", []Option{WithIntegrationPanels(16)}, false, false},
+		{"discrete/mc/expectednn", "discrete", []Option{WithQuantifier(MonteCarlo(0.25, 0.25))}, true, false},
+		{"disks/mc/expectednn", "disks", []Option{WithQuantifier(MonteCarloBudget(40))}, true, false},
+		{"discrete/mc", "discrete", []Option{WithQuantifier(MonteCarlo(0.25, 0.25))}, false, true},
+	}
+	const rounds = 50
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(4))
+			dyn, err := NewDynamic(tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := &dynHarness{t: t, dyn: dyn, opts: tc.opts, kind: tc.kind}
+			for i := 0; i < 10; i++ {
+				h.insertRandom(r)
+			}
+			for round := 0; round < rounds; round++ {
+				if round%2 == 0 {
+					h.deleteRandom(r)
+				}
+				h.insertRandom(r)
+				q := h.randomQuery(r)
+				if _, err := dyn.Nonzero(q); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := dyn.ExpectedNN(q); err != nil {
+					t.Fatal(err)
+				}
+				if tc.expected {
+					continue
+				}
+				if _, err := dyn.TopK(q, 3); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dyn.Threshold(q, 0.2); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dyn.PositiveProbabilities(q, 0); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dyn.Probabilities(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := dyn.Stats().ViewBuilds
+			switch {
+			case tc.views && got != rounds:
+				t.Fatalf("ViewBuilds = %d after %d write-then-query rounds, want %d", got, rounds, rounds)
+			case !tc.views && got != 0:
+				t.Fatalf("ViewBuilds = %d, want 0: this quantifier must answer from the buckets", got)
+			}
+		})
+	}
+}
+
+// TestDynamicConcurrentQuantify runs bucket-backed quantification from
+// several goroutines while another mutates the index (run it under
+// -race): readers share the live surface's pooled scratch and the
+// buckets, writers replace them under the write lock.
+func TestDynamicConcurrentQuantify(t *testing.T) {
+	for _, opts := range [][]Option{{WithQuantifier(SpiralSearch(0.05))}, nil} {
+		r := rand.New(rand.NewSource(8))
+		dyn, err := NewDynamic(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &dynHarness{t: t, dyn: dyn, opts: opts, kind: "discrete"}
+		for i := 0; i < 30; i++ {
+			h.insertRandom(r)
+		}
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				qr := rand.New(rand.NewSource(seed))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					q := Pt(qr.Float64()*40, qr.Float64()*40)
+					if _, err := dyn.TopK(q, 3); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := dyn.Probabilities(q); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := dyn.PositiveProbabilities(q, 0); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(int64(g))
+		}
+		for i := 0; i < 60; i++ {
+			h.deleteRandom(r)
+			h.insertRandom(r)
+		}
+		close(stop)
+		wg.Wait()
+		h.compareAll(Pt(20, 20), true)
 	}
 }

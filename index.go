@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 
+	"pnn/internal/dist"
 	"pnn/internal/quantify"
 )
 
@@ -43,10 +44,27 @@ func (s *SquareSet) defaultMetric() Metric     { return Linf }
 // options. All query methods are safe for concurrent use — every
 // randomized component is preprocessed at construction time.
 type Index struct {
-	set    UncertainSet
-	n      int
 	metric Metric
 	cfg    config
+
+	nonzero func(Point) []int
+	// nonzeroInto, when non-nil, is the caller-buffer variant of nonzero
+	// (appends into dst from its start).
+	nonzeroInto func(q Point, dst []int) []int
+
+	quantSurface
+}
+
+// quantSurface is the probability-query surface Index and DynamicIndex
+// share: the quantifier's function slots plus the ranked, filtered and
+// sparse queries built on them. Index fills the slots once in New over
+// its static set; DynamicIndex fills them over its live points and
+// keeps n current on every mutation (its queries hold the read lock).
+type quantSurface struct {
+	// set is the point set (a typed nil for DynamicIndex); it names the
+	// point kind in errors.
+	set UncertainSet
+	n   int
 
 	// eps is the additive query accuracy of approximate quantifiers
 	// (0 for exact engines and explicit-budget Monte Carlo, whose error
@@ -56,27 +74,23 @@ type Index struct {
 	// (Monte Carlo) rather than one-sided π̂ ≤ π ≤ π̂ + ε (spiral).
 	twoSided bool
 
-	nonzero func(Point) []int
-	// nonzeroInto, when non-nil, is the caller-buffer variant of nonzero
-	// (appends into dst from its start).
-	nonzeroInto func(q Point, dst []int) []int
-	probs       func(Point) []float64 // nil when unsupported
+	probs func(Point) []float64 // nil when unsupported
 	// probsInto, when non-nil, writes π(q) into a caller buffer of
-	// length Len() instead of allocating it.
+	// length n instead of allocating it.
 	probsInto func(q Point, pi []float64) []float64
 	// sparseInto, when non-nil, appends the entries with π_i(q) > 0 into
 	// dst in increasing index order without ever materializing the
 	// N-length vector — the engine-native sparse answer (Monte Carlo
 	// touches ≤ s owners, spiral search m(ρ,ε) locations). Engines
-	// without a native sparse answer leave it nil and the facade derives
+	// without a native sparse answer leave it nil and the surface derives
 	// the same entries from the dense vector through pooled scratch.
 	sparseInto func(q Point, dst []quantify.IndexProb) []quantify.IndexProb
 	expected   func(Point) (int, float64) // nil when unsupported
 
-	// piScratch pools Len()-length π vectors for the dense fallbacks of
-	// the ranked/filtered queries; ipScratch pools the sparse-entry
-	// staging buffers. Both keep the steady-state query surface
-	// allocation-flat: only the caller-owned results are allocated.
+	// piScratch pools π vectors for the dense fallbacks of the
+	// ranked/filtered queries; ipScratch pools the sparse-entry staging
+	// buffers. Both keep the steady-state query surface allocation-flat:
+	// only the caller-owned results are allocated.
 	piScratch sync.Pool
 	ipScratch sync.Pool
 }
@@ -108,7 +122,8 @@ func New(data UncertainSet, opts ...Option) (*Index, error) {
 		return nil, fmt.Errorf("pnn: metric %v is incompatible with %T: %w",
 			cfg.metric, data, ErrUnsupported)
 	}
-	ix := &Index{set: data, n: data.Len(), metric: cfg.metric, cfg: cfg}
+	ix := &Index{metric: cfg.metric, cfg: cfg}
+	ix.set, ix.n = data, data.Len()
 	var err error
 	switch s := data.(type) {
 	case *ContinuousSet:
@@ -123,12 +138,6 @@ func New(data UncertainSet, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := ix.n
-	ix.piScratch.New = func() any {
-		s := make([]float64, n)
-		return &s
-	}
-	ix.ipScratch.New = func() any { return new(ipBuf) }
 	return ix, nil
 }
 
@@ -154,23 +163,47 @@ func sortByProb(entries []quantify.IndexProb) {
 // the dense vector (through pooled scratch where the engine supports a
 // caller buffer) filtered down. Every path reports probabilities bitwise
 // identical to Probabilities(q).
-func (ix *Index) sparseEntries(q Point, dst []quantify.IndexProb) []quantify.IndexProb {
+func (ix *quantSurface) sparseEntries(q Point, dst []quantify.IndexProb) []quantify.IndexProb {
 	if ix.sparseInto != nil {
 		return ix.sparseInto(q, dst)
 	}
 	if ix.probsInto != nil {
-		bp := ix.piScratch.Get().(*[]float64)
-		pi := ix.probsInto(q, *bp)
-		dst = quantify.PositiveInto(pi, 0, dst)
-		*bp = pi
+		bp := ix.getPi()
+		dst = quantify.PositiveInto(ix.probsInto(q, *bp), 0, dst)
 		ix.piScratch.Put(bp)
 		return dst
 	}
 	return quantify.PositiveInto(ix.probs(q), 0, dst)
 }
 
-func (ix *Index) getIP() *ipBuf  { return ix.ipScratch.Get().(*ipBuf) }
-func (ix *Index) putIP(b *ipBuf) { ix.ipScratch.Put(b) }
+// getPi returns a pooled π vector of length n (the pool outlives
+// DynamicIndex mutations, so a stale buffer is regrown here).
+func (ix *quantSurface) getPi() *[]float64 {
+	bp, _ := ix.piScratch.Get().(*[]float64)
+	if bp == nil {
+		bp = new([]float64)
+	}
+	if cap(*bp) < ix.n {
+		*bp = make([]float64, ix.n)
+	}
+	*bp = (*bp)[:ix.n]
+	return bp
+}
+
+func (ix *quantSurface) getIP() *ipBuf {
+	if b, ok := ix.ipScratch.Get().(*ipBuf); ok {
+		return b
+	}
+	return new(ipBuf)
+}
+
+func (ix *quantSurface) putIP(b *ipBuf) { ix.ipScratch.Put(b) }
+
+// errNoQuant is the error of a probability query on a surface without a
+// quantifier.
+func (ix *quantSurface) errNoQuant() error {
+	return fmt.Errorf("pnn: no quantifier for %T: %w", ix.set, ErrUnsupported)
+}
 
 func (ix *Index) rng() *rand.Rand {
 	if ix.cfg.src != nil {
@@ -203,6 +236,50 @@ func (ix *Index) useSpiral(sp *Spiral, eps float64) {
 	}
 }
 
+// The use* wirings below read their points through pts at query time,
+// so a DynamicIndex can fill the same slots over its live arena, which
+// mutations replace under its write lock.
+
+// useExactContinuous wires the pruned Eq. (1) quadrature into all three
+// probability slots. No exact algorithm exists for continuous inputs;
+// Eq. (1) is integrated numerically, over the Lemma 2.1 candidates only
+// (bitwise equal to integrating every point).
+func (ix *quantSurface) useExactContinuous(pts func() []dist.Continuous, panels int) {
+	ix.probs = func(p Point) []float64 {
+		c := pts()
+		return quantify.IntegrateInto(c, toGeom(p), panels, make([]float64, len(c)))
+	}
+	ix.probsInto = func(p Point, pi []float64) []float64 {
+		return quantify.IntegrateInto(pts(), toGeom(p), panels, pi)
+	}
+	ix.sparseInto = func(p Point, dst []quantify.IndexProb) []quantify.IndexProb {
+		return quantify.IntegratePositiveInto(pts(), toGeom(p), panels, dst)
+	}
+}
+
+// useExactDiscrete wires the exact Eq. (2) sweep into the dense slots
+// (the sparse answer is derived from the dense vector).
+func (ix *quantSurface) useExactDiscrete(pts func() []*dist.Discrete) {
+	ix.probs = func(p Point) []float64 { return quantify.ExactAll(pts(), toGeom(p)) }
+	ix.probsInto = func(p Point, pi []float64) []float64 {
+		return quantify.ExactAllInto(pts(), toGeom(p), pi)
+	}
+}
+
+// useExpectedContinuous and useExpectedDiscrete wire the expected-
+// distance nearest neighbor, which is independent of the quantifier.
+func (ix *quantSurface) useExpectedContinuous(pts func() []dist.Continuous, panels int) {
+	ix.expected = func(p Point) (int, float64) {
+		return quantify.ExpectedNNContinuous(pts(), toGeom(p), panels)
+	}
+}
+
+func (ix *quantSurface) useExpectedDiscrete(pts func() []*dist.Discrete) {
+	ix.expected = func(p Point) (int, float64) {
+		return quantify.ExpectedNNDiscrete(pts(), toGeom(p))
+	}
+}
+
 func (ix *Index) buildContinuous(s *ContinuousSet) error {
 	switch ix.cfg.backend {
 	case BackendDirect:
@@ -217,21 +294,10 @@ func (ix *Index) buildContinuous(s *ContinuousSet) error {
 		ix.nonzero = nzi.Query
 		ix.nonzeroInto = nzi.queryInto
 	}
-	panels := ix.cfg.panels
+	conts := func() []dist.Continuous { return s.conts }
 	switch q := ix.cfg.quant; q.kind {
 	case quantExact:
-		// No exact algorithm exists for continuous inputs; Eq. (1) is
-		// integrated numerically, over the Lemma 2.1 candidates only
-		// (bitwise equal to integrating every point).
-		ix.probs = func(p Point) []float64 {
-			return quantify.IntegrateInto(s.conts, toGeom(p), panels, make([]float64, len(s.conts)))
-		}
-		ix.probsInto = func(p Point, pi []float64) []float64 {
-			return quantify.IntegrateInto(s.conts, toGeom(p), panels, pi)
-		}
-		ix.sparseInto = func(p Point, dst []quantify.IndexProb) []quantify.IndexProb {
-			return quantify.IntegratePositiveInto(s.conts, toGeom(p), panels, dst)
-		}
+		ix.useExactContinuous(conts, ix.cfg.panels)
 	case quantMonteCarlo:
 		ix.eps = q.eps
 		ix.twoSided = true
@@ -248,9 +314,7 @@ func (ix *Index) buildContinuous(s *ContinuousSet) error {
 	case quantVPr:
 		return fmt.Errorf("pnn: VPrDiagram requires discrete points: %w", ErrUnsupported)
 	}
-	ix.expected = func(p Point) (int, float64) {
-		return quantify.ExpectedNNContinuous(s.conts, toGeom(p), panels)
-	}
+	ix.useExpectedContinuous(conts, ix.cfg.panels)
 	return nil
 }
 
@@ -268,12 +332,10 @@ func (ix *Index) buildDiscrete(s *DiscreteSet) error {
 		ix.nonzero = nzi.Query
 		ix.nonzeroInto = nzi.queryInto
 	}
+	dists := func() []*dist.Discrete { return s.dists }
 	switch q := ix.cfg.quant; q.kind {
 	case quantExact:
-		ix.probs = s.ExactProbabilities
-		ix.probsInto = func(p Point, pi []float64) []float64 {
-			return quantify.ExactAllInto(s.dists, toGeom(p), pi)
-		}
+		ix.useExactDiscrete(dists)
 	case quantMonteCarlo:
 		ix.eps = q.eps
 		ix.twoSided = true
@@ -300,7 +362,7 @@ func (ix *Index) buildDiscrete(s *DiscreteSet) error {
 			return append(pi, v.Query(p)...)
 		}
 	}
-	ix.expected = s.ExpectedNN
+	ix.useExpectedDiscrete(dists)
 	return nil
 }
 
@@ -357,9 +419,9 @@ func (ix *Index) NonzeroInto(q Point, buf []int) ([]int, error) {
 // Probabilities returns π_i(q) for every point, computed by the
 // configured quantifier. For approximate quantifiers the vector carries
 // the engine's documented error guarantee (see Eps).
-func (ix *Index) Probabilities(q Point) ([]float64, error) {
+func (ix *quantSurface) Probabilities(q Point) ([]float64, error) {
 	if ix.probs == nil {
-		return nil, fmt.Errorf("pnn: no quantifier for %T: %w", ix.set, ErrUnsupported)
+		return nil, ix.errNoQuant()
 	}
 	return ix.probs(q), nil
 }
@@ -368,9 +430,9 @@ func (ix *Index) Probabilities(q Point) ([]float64, error) {
 // grown as needed) — the caller-buffer variant for allocation-flat query
 // loops. The returned slice shares buf's memory and is only valid until
 // the next ProbabilitiesInto call with the same buffer.
-func (ix *Index) ProbabilitiesInto(q Point, buf []float64) ([]float64, error) {
+func (ix *quantSurface) ProbabilitiesInto(q Point, buf []float64) ([]float64, error) {
 	if ix.probs == nil {
-		return nil, fmt.Errorf("pnn: no quantifier for %T: %w", ix.set, ErrUnsupported)
+		return nil, ix.errNoQuant()
 	}
 	if cap(buf) < ix.n {
 		buf = make([]float64, ix.n)
@@ -389,9 +451,9 @@ func (ix *Index) ProbabilitiesInto(q Point, buf []float64) ([]float64, error) {
 // spiral search inspects only m(ρ,ε) locations — Theorems 4.3/4.7)
 // without ever materializing the N-length vector. Negative eps is
 // treated as 0 — only strictly positive probabilities are ever reported.
-func (ix *Index) PositiveProbabilities(q Point, eps float64) ([]IndexProb, error) {
+func (ix *quantSurface) PositiveProbabilities(q Point, eps float64) ([]IndexProb, error) {
 	if ix.probs == nil {
-		return nil, fmt.Errorf("pnn: no quantifier for %T: %w", ix.set, ErrUnsupported)
+		return nil, ix.errNoQuant()
 	}
 	b := ix.getIP()
 	b.entries = ix.sparseEntries(q, b.entries)
@@ -423,9 +485,9 @@ func (ix *Index) PositiveProbabilities(q Point, eps float64) ([]IndexProb, error
 // Like PositiveProbabilities this runs on the sparse path: approximate
 // engines rank their native sparse answers and never allocate the
 // N-length vector.
-func (ix *Index) TopK(q Point, k int) ([]IndexProb, error) {
+func (ix *quantSurface) TopK(q Point, k int) ([]IndexProb, error) {
 	if ix.probs == nil {
-		return nil, fmt.Errorf("pnn: no quantifier for %T: %w", ix.set, ErrUnsupported)
+		return nil, ix.errNoQuant()
 	}
 	if k < 0 {
 		return nil, fmt.Errorf("pnn: k must be non-negative, got %d: %w", k, ErrInvalidParam)
@@ -473,9 +535,9 @@ func (ix *Index) TopK(q Point, k int) ([]IndexProb, error) {
 // with π̂ = 0 can be neither Certain nor Possible there); only
 // 0 < tau ≤ Eps() needs the dense vector, which then comes from pooled
 // scratch.
-func (ix *Index) Threshold(q Point, tau float64) (ThresholdResult, error) {
+func (ix *quantSurface) Threshold(q Point, tau float64) (ThresholdResult, error) {
 	if ix.probs == nil {
-		return ThresholdResult{}, fmt.Errorf("pnn: no quantifier for %T: %w", ix.set, ErrUnsupported)
+		return ThresholdResult{}, ix.errNoQuant()
 	}
 	if math.IsNaN(tau) || math.IsInf(tau, 0) {
 		return ThresholdResult{}, fmt.Errorf("pnn: tau must be finite, got %g: %w", tau, ErrInvalidParam)
@@ -525,11 +587,11 @@ func (ix *Index) Threshold(q Point, tau float64) (ThresholdResult, error) {
 // apply, and the only branch that can report zero-estimate points as
 // Possible (which happens exactly when 0 < tau ≤ eps, or tau ≤ 0 with an
 // approximate engine).
-func (ix *Index) thresholdDense(q Point, tau float64) ThresholdResult {
+func (ix *quantSurface) thresholdDense(q Point, tau float64) ThresholdResult {
 	var pi []float64
 	var bp *[]float64
 	if ix.probsInto != nil {
-		bp = ix.piScratch.Get().(*[]float64)
+		bp = ix.getPi()
 		pi = ix.probsInto(q, *bp)
 	} else {
 		pi = ix.probs(q)
@@ -548,7 +610,6 @@ func (ix *Index) thresholdDense(q Point, tau float64) ThresholdResult {
 		}
 	}
 	if bp != nil {
-		*bp = pi
 		ix.piScratch.Put(bp)
 	}
 	return res
@@ -557,7 +618,7 @@ func (ix *Index) thresholdDense(q Point, tau float64) ThresholdResult {
 // ExpectedNN returns the index minimizing the expected distance
 // E[d(q, P_i)] and that minimum — the cheaper NN notion of [AESZ12]
 // that §1.2 contrasts with quantification probabilities.
-func (ix *Index) ExpectedNN(q Point) (int, float64, error) {
+func (ix *quantSurface) ExpectedNN(q Point) (int, float64, error) {
 	if ix.expected == nil {
 		return -1, 0, fmt.Errorf("pnn: expected distance undefined for %T: %w", ix.set, ErrUnsupported)
 	}

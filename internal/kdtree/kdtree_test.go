@@ -137,6 +137,51 @@ func TestDuplicatePoints(t *testing.T) {
 	}
 }
 
+// TestKNearestTieOrder pins the (d², ID) total order on a lattice with
+// many coincident and equidistant items: the selected set and its order
+// must equal a brute-force sort by (d², ID), filtered or not.
+func TestKNearestTieOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	items := make([]Item, 400)
+	for i := range items {
+		items[i] = Item{P: geom.Pt(float64(r.Intn(7)), float64(r.Intn(7))), ID: i}
+	}
+	r.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	tr := Build(items)
+	odd := func(id int) bool { return id%2 == 1 }
+	for probe := 0; probe < 60; probe++ {
+		q := geom.Pt(float64(r.Intn(7)), float64(r.Intn(7)))
+		k := 1 + r.Intn(80)
+		for _, keep := range []func(int) bool{nil, odd} {
+			var want []Item
+			for _, it := range items {
+				if keep == nil || keep(it.ID) {
+					want = append(want, it)
+				}
+			}
+			sort.Slice(want, func(i, j int) bool {
+				di, dj := want[i].P.Dist2(q), want[j].P.Dist2(q)
+				if di != dj {
+					return di < dj
+				}
+				return want[i].ID < want[j].ID
+			})
+			if len(want) > k {
+				want = want[:k]
+			}
+			got := tr.KNearestFilterInto(q, k, keep, nil)
+			if len(got) != len(want) {
+				t.Fatalf("q=%v k=%d: got %d items, want %d", q, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].ID != want[i].ID {
+					t.Fatalf("q=%v k=%d: position %d has ID %d, want %d", q, k, i, got[i].ID, want[i].ID)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkNearest10k(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	tr := Build(randomItems(r, 10000))

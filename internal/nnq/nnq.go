@@ -105,22 +105,61 @@ func dedupSortedInsert(xs []int) []int {
 type DiscreteIndex struct {
 	points []core.DiscretePoint
 	hulls  [][]geom.Point
-	tree   *kdtree.Tree
+	locs   *LocationTree
 }
 
-// NewDiscrete builds the structure in O(N log N).
+// NewDiscrete builds the structure in O(N log² N) (the kd-tree build).
 func NewDiscrete(points []core.DiscretePoint) *DiscreteIndex {
-	ix := &DiscreteIndex{points: points}
+	ix := &DiscreteIndex{points: points, locs: NewLocationTree(points)}
 	ix.hulls = make([][]geom.Point, len(points))
-	var items []kdtree.Item
 	for i, p := range points {
 		ix.hulls[i] = geom.ConvexHull(p.Locs)
-		for _, l := range p.Locs {
-			items = append(items, kdtree.Item{P: l, ID: i})
+	}
+	return ix
+}
+
+// Locations returns the kd-tree over the indexed locations (shared,
+// immutable).
+func (ix *DiscreteIndex) Locations() *LocationTree { return ix.locs }
+
+// LocationTree is a kd-tree over every location of a discrete point
+// set. Item IDs encode (owner, location) as owner·stride + t, with
+// stride the maximum k, so the tree's (d², ID) k-NN order is the
+// (d², owner, location) order of the flattened set.
+type LocationTree struct {
+	tree   *kdtree.Tree
+	stride int
+}
+
+// NewLocationTree indexes every location of points.
+func NewLocationTree(points []core.DiscretePoint) *LocationTree {
+	lt := &LocationTree{stride: 1}
+	n := 0
+	for _, p := range points {
+		lt.stride = max(lt.stride, len(p.Locs))
+		n += len(p.Locs)
+	}
+	items := make([]kdtree.Item, 0, n)
+	for i, p := range points {
+		for t, l := range p.Locs {
+			items = append(items, kdtree.Item{P: l, ID: i*lt.stride + t})
 		}
 	}
-	ix.tree = kdtree.Build(items)
-	return ix
+	lt.tree = kdtree.Build(items)
+	return lt
+}
+
+// Loc decodes an item ID into its owner and location index.
+func (lt *LocationTree) Loc(id int) (owner, t int) { return id / lt.stride, id % lt.stride }
+
+// KNearestInto writes into dst the k locations nearest q whose owner
+// passes keep (nil keeps all), in increasing (d², owner, location)
+// order.
+func (lt *LocationTree) KNearestInto(q geom.Point, k int, keep func(owner int) bool, dst []kdtree.Item) []kdtree.Item {
+	if keep == nil {
+		return lt.tree.KNearestInto(q, k, dst)
+	}
+	return lt.tree.KNearestFilterInto(q, k, func(id int) bool { return keep(id / lt.stride) }, dst)
 }
 
 // Delta returns Δ(q) = min_i max_t d(q, p_it), scanning the hulls.
@@ -169,19 +208,20 @@ func (ix *DiscreteIndex) QueryInto(q geom.Point, dst []int) []int {
 	// true for k = 1) could be lost to roundoff. The exact per-owner test
 	// below filters any extra candidates.
 	sc := discPool.Get().(*discScratch)
-	sc.hits = ix.tree.InDisk(q, min1+1e-9*(1+min1), sc.hits[:0])
+	sc.hits = ix.locs.tree.InDisk(q, min1+1e-9*(1+min1), sc.hits[:0])
 	clear(sc.seen)
 	for _, h := range sc.hits {
-		if _, dup := sc.seen[h.ID]; dup {
+		o, _ := ix.locs.Loc(h.ID)
+		if _, dup := sc.seen[o]; dup {
 			continue
 		}
-		sc.seen[h.ID] = struct{}{} // owner checked once; δ_i is global per owner
+		sc.seen[o] = struct{}{} // owner checked once; δ_i is global per owner
 		bound := min1
-		if h.ID == arg {
+		if o == arg {
 			bound = min2
 		}
-		if ix.points[h.ID].MinDist(q) < bound {
-			dst = append(dst, h.ID)
+		if ix.points[o].MinDist(q) < bound {
+			dst = append(dst, o)
 		}
 	}
 	discPool.Put(sc)
@@ -228,15 +268,16 @@ func (ix *ContinuousIndex) ReportMinDistLess(q geom.Point, bound float64, dst []
 // is in no particular order.
 func (ix *DiscreteIndex) ReportMinDistLess(q geom.Point, bound float64, dst []int) []int {
 	sc := discPool.Get().(*discScratch)
-	sc.hits = ix.tree.InDisk(q, bound+1e-9*(1+bound), sc.hits[:0])
+	sc.hits = ix.locs.tree.InDisk(q, bound+1e-9*(1+bound), sc.hits[:0])
 	clear(sc.seen)
 	for _, h := range sc.hits {
-		if _, dup := sc.seen[h.ID]; dup {
+		o, _ := ix.locs.Loc(h.ID)
+		if _, dup := sc.seen[o]; dup {
 			continue
 		}
-		sc.seen[h.ID] = struct{}{}
-		if ix.points[h.ID].MinDist(q) < bound {
-			dst = append(dst, h.ID)
+		sc.seen[o] = struct{}{}
+		if ix.points[o].MinDist(q) < bound {
+			dst = append(dst, o)
 		}
 	}
 	discPool.Put(sc)

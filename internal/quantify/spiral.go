@@ -120,16 +120,22 @@ func (s *Spiral) Rho() float64 { return s.rho }
 
 // M returns m(ρ, ε) = ⌈ρk·ln(ρ/ε)⌉ + k − 1, the retrieval size Theorem 4.7
 // prescribes (capped at N).
-func (s *Spiral) M(eps float64) int {
+func (s *Spiral) M(eps float64) int { return SpiralM(s.rho, s.k, len(s.locs), eps) }
+
+// SpiralM is m(ρ, ε) for a set with spread rho, maximum description
+// complexity k and nLocs locations in total — Spiral.M for callers that
+// maintain those three quantities themselves (the dynamized spiral
+// search in pnn).
+func SpiralM(rho float64, k, nLocs int, eps float64) int {
 	if eps <= 0 || eps >= 1 {
 		eps = 0.5
 	}
-	m := int(math.Ceil(s.rho*float64(s.k)*math.Log(s.rho/eps))) + s.k - 1
-	if m < s.k {
-		m = s.k
+	m := int(math.Ceil(rho*float64(k)*math.Log(rho/eps))) + k - 1
+	if m < k {
+		m = k
 	}
-	if m > len(s.locs) {
-		m = len(s.locs)
+	if m > nLocs {
+		m = nLocs
 	}
 	return m
 }
