@@ -49,9 +49,13 @@
 // answer 409 api.CodeReadOnly. A mutation is acknowledged only after
 // its WAL record is fsynced. Each write bumps the dataset's monotone
 // version, which keys the result cache (a stale cached answer is
-// structurally unreachable after a write) and retires the dataset's
-// engine generation: old batchers drain gracefully while queued
-// queries retry against engines rebuilt over the new point set.
+// structurally unreachable after a write), and is folded into the
+// dataset's live engines in place from the store's op tail. Engines
+// that cannot absorb it (backend=diagram), and every engine of a
+// dataset whose entry is reset (the registry fell behind the op tail,
+// or the name was recreated under another kind), are retired: old
+// batchers drain gracefully while queued queries retry against engines
+// rebuilt lazily from the store.
 // Queries against a created-but-empty dataset answer 409
 // api.CodeEmptyDataset.
 //

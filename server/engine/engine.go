@@ -2,11 +2,12 @@
 // registry entry: something that answers heterogeneous query batches
 // at a dataset version, absorbs committed mutation deltas, and reports
 // the write-path work it has done. Two implementations exist — Static
-// wraps the build-once pnn.Index (bulk loads, imports, and explicitly
-// static serving; every delta demands a rebuild) and Dynamic wraps the
-// Bentley–Saxe pnn.DynamicIndex (amortized O(log n) per applied
-// write). The registry holds Engines and applies deltas in place,
-// falling back to a generation swap exactly when Apply says it must.
+// wraps the build-once pnn.Index (read-only datasets and backend=diagram,
+// which no dynamic index can serve; every delta demands a rebuild) and
+// Dynamic wraps the Bentley–Saxe pnn.DynamicIndex (amortized O(log n)
+// per applied write). The registry holds Engines and applies deltas in
+// place, retiring an engine for a lazy rebuild exactly when Apply says
+// it must.
 package engine
 
 import (
@@ -27,7 +28,7 @@ type Querier interface {
 
 // ErrRebuildRequired reports a delta the engine cannot fold in place;
 // the caller must rebuild a fresh engine from the authoritative store
-// state instead (generation swap).
+// state instead.
 var ErrRebuildRequired = errors.New("engine: delta apply requires a rebuild")
 
 // Cost is an engine's cumulative write-path work.
@@ -109,14 +110,14 @@ type Dynamic struct {
 // index built from the same state. opts follow pnn.NewDynamic's rules:
 // BackendDiagram and WithRandSource are rejected.
 func BuildDynamic(ids []uint64, pts []store.Point, opts []pnn.Option) (*Dynamic, error) {
+	if len(ids) != len(pts) {
+		return nil, fmt.Errorf("engine: %d ids for %d points", len(ids), len(pts))
+	}
 	dyn, err := pnn.NewDynamic(opts...)
 	if err != nil {
 		return nil, err
 	}
 	e := &Dynamic{dyn: dyn, ids: make(map[uint64]pnn.PointID, len(ids))}
-	if len(ids) != len(pts) {
-		return nil, fmt.Errorf("engine: %d ids for %d points", len(ids), len(pts))
-	}
 	for i := range pts {
 		if err := e.insertLocked(ids[i], pts[i]); err != nil {
 			return nil, err

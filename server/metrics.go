@@ -19,9 +19,9 @@ type Metrics struct {
 	indexBuilds *obs.Counter
 	flushes     *obs.CounterVec // pnn_batch_flushes_total{reason=}
 	// deltaApplied counts refreshes served by the in-place delta write
-	// path; deltaFallbacks the refreshes that fell back to a generation
-	// swap, by reason ("static", "tail_gap", "kind_change",
-	// "delete_heavy") — together they make the fast path observable.
+	// path; deltaFallbacks the refreshes that reset the dataset's entry
+	// instead, by reason ("tail_gap", "kind_change") — together they
+	// make the fast path observable.
 	deltaApplied   *obs.Counter    // pnn_delta_applied_total
 	deltaFallbacks *obs.CounterVec // pnn_delta_fallback_total{reason=}
 

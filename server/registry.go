@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"pnn"
+	"pnn/internal/obs"
 	"pnn/server/engine"
 	"pnn/store"
 )
@@ -65,9 +67,9 @@ func (k IndexKey) Options() ([]pnn.Option, error) {
 }
 
 // Dataset is one named uncertain-point set plus its lazily built
-// engines, one per IndexKey. Mutable datasets (store-backed) swap their
-// set and bump their version atomically; the engines of the old version
-// are retired and rebuilt lazily against the new set.
+// engines, one per IndexKey. Durable (store-backed) datasets hold no
+// point set: their engines build from the store, absorb committed
+// mutations in place, and the version bumps with every write.
 type Dataset struct {
 	// Name is the registry key clients address the dataset by.
 	Name string
@@ -77,15 +79,12 @@ type Dataset struct {
 	// durable marks a store-backed dataset: only these accept
 	// mutations (static datasets are fixed at startup).
 	durable bool
+	// set is a static dataset's immutable point set; nil for durable
+	// datasets, whose engines read the store.
+	set pnn.UncertainSet
 
 	mu sync.Mutex
-	// set is the currently served point set; nil when the dataset is
-	// empty (created but no points yet) — or when the delta write path
-	// has made it stale (applyDelta clears it; durable datasets served
-	// by delta-applied engines read the store, not this cache).
-	set pnn.UncertainSet
-	// n is the current live point count, maintained across both set
-	// swaps and delta applies.
+	// n is the current live point count.
 	n int
 	// version is the dataset's monotone mutation version. It keys the
 	// result cache, so entries cached against an older version can
@@ -112,25 +111,12 @@ type indexEntry struct {
 	applied uint64
 }
 
-// Snapshot returns the dataset's current point set and version under
-// one lock acquisition: the pair is consistent, which is what lets
-// callers key caches by version. The set is nil when the dataset is
-// empty.
-func (d *Dataset) Snapshot() (pnn.UncertainSet, uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.set, d.version
-}
-
-// Set returns the current point set (nil when empty).
-func (d *Dataset) Set() pnn.UncertainSet {
-	set, _ := d.Snapshot()
-	return set
-}
+// Set returns a static dataset's point set; nil for a durable one.
+func (d *Dataset) Set() pnn.UncertainSet { return d.set }
 
 // Version returns the dataset's monotone mutation version.
 func (d *Dataset) Version() uint64 {
-	_, v := d.Snapshot()
+	_, v := d.Stats()
 	return v
 }
 
@@ -142,8 +128,7 @@ func (d *Dataset) Len() int {
 
 // Stats returns the dataset's current point count and version under
 // one lock acquisition — the consistent pair the serving path keys
-// caches and emptiness checks by. Unlike Snapshot it stays accurate on
-// the delta write path, where the cached set goes stale.
+// caches and emptiness checks by.
 func (d *Dataset) Stats() (int, uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -183,31 +168,24 @@ func (d *Dataset) Indexes() int {
 	return len(d.entries)
 }
 
-// update swaps in a new set under a newer version and retires the old
-// version's engines: their batchers are closed in the background
-// (pending coalesced requests flush, then further submits fail and the
-// callers retry against the new engines). Stale updates (version not
-// newer) are ignored, so concurrent refreshes can land in any order.
-func (d *Dataset) update(set pnn.UncertainSet, version uint64) {
+// reset moves the dataset to a newer store state (n points at
+// version) and retires every engine: their batchers are closed in the
+// background (pending coalesced requests flush, then further submits
+// fail and the callers retry against engines rebuilt lazily from the
+// store). Stale resets (version not newer) are ignored, so concurrent
+// resets can land in any order.
+func (d *Dataset) reset(n int, version uint64) {
 	d.mu.Lock()
 	if version <= d.version {
 		d.mu.Unlock()
 		return
 	}
 	old := d.entries
-	d.set = set
-	d.n = setLen(set)
+	d.n = n
 	d.version = version
 	d.entries = make(map[IndexKey]*indexEntry)
 	d.mu.Unlock()
 	go closeEntries(old)
-}
-
-func setLen(set pnn.UncertainSet) int {
-	if set == nil {
-		return 0
-	}
-	return set.Len()
 }
 
 // applyDelta folds committed mutations into the dataset's live engines
@@ -247,9 +225,6 @@ func (d *Dataset) applyDelta(version uint64, n int, ops []store.DeltaOp) {
 			e.applied = version
 		}
 	}
-	// The cached set predates these ops; durable datasets on the delta
-	// path are rebuilt from the store, never from this cache.
-	d.set = nil
 	d.n = n
 	d.version = version
 	d.mu.Unlock()
@@ -299,8 +274,8 @@ var errStaleVersion = errors.New("server: dataset version changed")
 // entry returns the dataset's engine for key at the given version,
 // creating the slot on first use (up to maxEngines slots; maxEngines
 // ≤ 0 means unlimited). It fails with errStaleVersion when the dataset
-// has moved past version — the caller's set snapshot no longer matches
-// the entries generation. build is invoked at most once per key,
+// has moved past version — the caller's snapshot no longer matches the
+// entries generation. build is invoked at most once per key,
 // outside the dataset lock (index construction can be slow); a panic
 // inside build is captured into the entry's error rather than
 // poisoning the slot.
@@ -389,19 +364,10 @@ func (r *Registry) Add(name string, set pnn.UncertainSet) error {
 	})
 }
 
-// AddDurable registers a store-backed (mutable) dataset with an
-// explicit kind and version; set may be nil for an empty dataset.
-func (r *Registry) AddDurable(name, kind string, set pnn.UncertainSet, version uint64) error {
-	if name == "" {
-		return fmt.Errorf("empty dataset name")
-	}
-	return r.add(newDurableDataset(name, kind, set, version))
-}
-
-func newDurableDataset(name, kind string, set pnn.UncertainSet, version uint64) *Dataset {
+func newDurableDataset(info store.DatasetInfo) *Dataset {
 	return &Dataset{
-		Name: name, Kind: kind, durable: true,
-		set: set, n: setLen(set), version: version,
+		Name: info.Name, Kind: info.Kind, durable: true,
+		n: info.N, version: info.Version,
 		entries: make(map[IndexKey]*indexEntry),
 	}
 }
@@ -416,59 +382,87 @@ func (r *Registry) add(d *Dataset) error {
 	return nil
 }
 
-// Upsert registers a durable dataset or, when it already exists, swaps
-// in the new set at the new version (stale versions are ignored). A
-// newer version under a different kind means the name was dropped and
-// recreated as a different dataset between refreshes — the entry is
-// replaced wholesale, since Dataset.update deliberately never changes
-// Kind (an older-kind refresh must not relabel the current data). The
-// whole decision runs under r.mu — releasing it between the lookup and
-// the version-checked apply would let a concurrent kind-change replace
-// the map entry while a same-kind caller updates the detached object,
-// silently losing the newer version. (Lock order r.mu → d.mu; nothing
-// acquires them the other way around.)
-func (r *Registry) Upsert(name, kind string, set pnn.UncertainSet, version uint64) {
+// Upsert resets the durable dataset named info.Name to the store
+// state info describes, registering it when absent. The old engines
+// are retired and rebuild lazily from the store. A stale reset (version
+// not newer) is ignored. A newer version under a different kind means
+// the name was dropped and recreated as a different dataset: the entry
+// is replaced wholesale, since Kind never changes in place (an
+// older-kind reset must not relabel the current data); so is a static
+// entry of the same name. The whole decision runs under r.mu —
+// releasing it between the lookup and the version-checked reset would
+// let a concurrent kind change replace the map entry while a same-kind
+// caller resets the detached object, silently losing the newer
+// version. (Lock order r.mu → d.mu; nothing acquires them the other
+// way around.)
+func (r *Registry) Upsert(info store.DatasetInfo) {
 	r.mu.Lock()
-	d, ok := r.datasets[name]
-	switch {
-	case !ok:
-		r.datasets[name] = newDurableDataset(name, kind, set, version)
-		r.mu.Unlock()
-	case d.Kind != kind:
-		if version <= d.Version() {
+	d := r.datasets[info.Name]
+	if d != nil && d.durable {
+		if d.Kind == info.Kind {
+			// reset takes d.mu only briefly (map swap; the batcher close
+			// is backgrounded), so holding r.mu across it is cheap.
+			d.reset(info.N, info.Version)
 			r.mu.Unlock()
-			return // stale refresh from before the drop+recreate
+			return
 		}
-		r.datasets[name] = newDurableDataset(name, kind, set, version)
-		r.mu.Unlock()
+		if info.Version <= d.Version() {
+			r.mu.Unlock()
+			return // stale reset from before the drop+recreate
+		}
+	}
+	r.datasets[info.Name] = newDurableDataset(info)
+	r.mu.Unlock()
+	if d != nil {
 		go d.closeBatchers()
-	default:
-		// update takes d.mu only briefly (map swap; the batcher close is
-		// backgrounded), so holding r.mu across it is cheap.
-		d.update(set, version)
-		r.mu.Unlock()
 	}
 }
 
-// ApplyDelta folds committed mutations into the named durable
-// dataset's live engines and bumps its version in place — the delta
-// write path, skipping both the full set copy and the engine
-// generation swap Upsert pays. It reports false when the delta cannot
-// be applied against the registered entry — the name is absent, not
-// durable, or registered under a different kind (dropped and
-// recreated between refreshes) — and the caller must fall back to a
-// full Upsert swap. Callers serialize refreshes per name (the server's
-// refresh lock), so ApplyDelta never races a kind-changing Upsert on
-// the same dataset.
-func (r *Registry) ApplyDelta(name, kind string, version uint64, n int, ops []store.DeltaOp) bool {
-	r.mu.RLock()
-	d := r.datasets[name]
-	r.mu.RUnlock()
-	if d == nil || !d.durable || d.Kind != kind {
-		return false
+// refreshPath names how Registry.refresh brought a dataset current;
+// the fallback paths double as pnn_delta_fallback_total reasons.
+type refreshPath string
+
+const (
+	// pathDelta folded the ops into the live engines in place.
+	pathDelta refreshPath = "delta"
+	// pathLoad registered a name the registry did not hold.
+	pathLoad refreshPath = "load"
+	// pathTailGap reset the entry: the store's op history no longer
+	// reaches back to the registry's version.
+	pathTailGap refreshPath = "tail_gap"
+	// pathKindChange reset the entry: the name was dropped and
+	// recreated under another kind.
+	pathKindChange refreshPath = "kind_change"
+)
+
+// refresh brings a durable dataset current with the store state info,
+// given ops and complete exactly as Store.OpsSince returned them for
+// the registry's version (0 for a name the registry does not hold). It
+// folds ops into the live engines in place when the entry can absorb
+// them, and resets the entry via Upsert otherwise. The delta leg
+// applies to the entry looked up here, so callers serialize refreshes
+// per name (the server's refresh lock); otherwise a concurrent reset
+// could detach the entry mid-apply.
+func (r *Registry) refresh(ctx context.Context, info store.DatasetInfo, ops []store.DeltaOp, complete bool) refreshPath {
+	d := r.Get(info.Name)
+	path := pathDelta
+	switch {
+	case d == nil || !d.durable:
+		path = pathLoad
+	case d.Kind != info.Kind:
+		path = pathKindChange
+	case !complete:
+		path = pathTailGap
 	}
-	d.applyDelta(version, n, ops)
-	return true
+	if path != pathDelta {
+		r.Upsert(info)
+		return path
+	}
+	span := obs.LeafSpan(ctx, "delta.apply")
+	span.SetAttr("dataset", info.Name)
+	d.applyDelta(info.Version, info.N, ops)
+	span.End()
+	return pathDelta
 }
 
 // Remove unregisters a dataset and closes its batchers in the

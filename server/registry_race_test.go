@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"pnn"
+	"pnn/store"
 )
 
-// TestRegistryConcurrentMutations hammers Add/AddDurable/Upsert/Remove/
-// Get/Names/Snapshot from many goroutines — run under -race (the CI
+// TestRegistryConcurrentMutations hammers Add/Upsert/Remove/Get/Names/
+// Stats from many goroutines — run under -race (the CI
 // race job covers ./server/...). Before the registry grew its RWMutex,
 // Add was startup-only and any in-flight Get raced the first mutation.
 func TestRegistryConcurrentMutations(t *testing.T) {
@@ -34,7 +35,7 @@ func TestRegistryConcurrentMutations(t *testing.T) {
 				case 0:
 					_ = reg.Add(name(i+g), set) // duplicate errors expected
 				case 1:
-					reg.Upsert(name(i+g), "discrete", set, uint64(i+2))
+					reg.Upsert(store.DatasetInfo{Name: name(i + g), Kind: "discrete", N: 2, Version: uint64(i + 2)})
 				default:
 					reg.Remove(name(i + g))
 				}
@@ -43,16 +44,16 @@ func TestRegistryConcurrentMutations(t *testing.T) {
 	}
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) { // readers: Get/Names/Snapshot/Len concurrently
+		go func(g int) { // readers: Get/Names/Stats/Len concurrently
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				if d := reg.Get(name(i + g)); d != nil {
-					s, v := d.Snapshot()
-					if s != nil && s.Len() != 2 {
-						t.Errorf("torn snapshot: len %d", s.Len())
+					if n, _ := d.Stats(); n != 2 {
+						t.Errorf("torn stats: n %d", n)
 					}
-					_ = v
-					_ = d.Len()
+					if s := d.Set(); s != nil && s.Len() != 2 {
+						t.Errorf("torn set: len %d", s.Len())
+					}
 					_ = d.Indexes()
 				}
 				if i%50 == 0 {
@@ -72,35 +73,48 @@ func TestRegistryConcurrentMutations(t *testing.T) {
 	// Upserts must stay monotone: a stale version never overwrites a
 	// newer one.
 	reg2 := NewRegistry()
-	reg2.Upsert("m", "discrete", set, 5)
-	reg2.Upsert("m", "discrete", nil, 3) // stale: ignored
-	if d := reg2.Get("m"); d.Version() != 5 || d.Set() == nil {
-		t.Fatalf("stale upsert applied: version %d set %v", d.Version(), d.Set())
+	reg2.Upsert(store.DatasetInfo{Name: "m", Kind: "discrete", N: 2, Version: 5})
+	reg2.Upsert(store.DatasetInfo{Name: "m", Kind: "discrete", N: 9, Version: 3}) // stale: ignored
+	if n, v := reg2.Get("m").Stats(); n != 2 || v != 5 {
+		t.Fatalf("stale upsert applied: n %d version %d", n, v)
 	}
-	reg2.Upsert("m", "discrete", nil, 7)
-	if d := reg2.Get("m"); d.Version() != 7 || d.Set() != nil {
-		t.Fatalf("fresh upsert ignored: version %d", d.Version())
+	reg2.Upsert(store.DatasetInfo{Name: "m", Kind: "discrete", N: 0, Version: 7})
+	if n, v := reg2.Get("m").Stats(); n != 0 || v != 7 {
+		t.Fatalf("fresh upsert ignored: n %d version %d", n, v)
+	}
+	// A durable reset replaces a static entry of the same name.
+	if err := reg2.Add("s", set); err != nil {
+		t.Fatal(err)
+	}
+	reg2.Upsert(store.DatasetInfo{Name: "s", Kind: "discrete", N: 1, Version: 4})
+	if d := reg2.Get("s"); !d.Durable() || d.Set() != nil || d.Len() != 1 {
+		t.Fatalf("static entry survived a durable upsert: durable %v len %d", d.Durable(), d.Len())
 	}
 }
 
 // TestUpsertKindChange pins the drop+recreate semantics of Upsert: a
 // newer version under a different kind replaces the entry wholesale
-// (Dataset.update never changes Kind), while a stale refresh carrying
-// the pre-recreate kind must not relabel — or replace — the current
-// dataset.
+// (Kind never changes in place), while a stale reset carrying the
+// pre-recreate kind must not relabel — or replace — the current
+// dataset. A same-kind reset keeps the entry object.
 func TestUpsertKindChange(t *testing.T) {
 	reg := NewRegistry()
-	reg.Upsert("d", "discrete", nil, 5)
-	reg.Upsert("d", "disks", nil, 8) // the refresh that saw the recreate
-	if d := reg.Get("d"); d.Kind != "disks" || d.Version() != 8 {
-		t.Fatalf("recreate not applied: kind %q version %d", d.Kind, d.Version())
+	info := func(kind string, version uint64) store.DatasetInfo {
+		return store.DatasetInfo{Name: "d", Kind: kind, Version: version}
 	}
-	reg.Upsert("d", "discrete", nil, 7) // stale refresh from before the drop
-	if d := reg.Get("d"); d.Kind != "disks" || d.Version() != 8 {
+	reg.Upsert(info("discrete", 5))
+	first := reg.Get("d")
+	reg.Upsert(info("disks", 8)) // the refresh that saw the recreate
+	recreated := reg.Get("d")
+	if recreated == first || recreated.Kind != "disks" || recreated.Version() != 8 {
+		t.Fatalf("recreate not applied: kind %q version %d", recreated.Kind, recreated.Version())
+	}
+	reg.Upsert(info("discrete", 7)) // stale refresh from before the drop
+	if d := reg.Get("d"); d != recreated || d.Kind != "disks" || d.Version() != 8 {
 		t.Fatalf("stale old-kind refresh relabeled the dataset: kind %q version %d", d.Kind, d.Version())
 	}
-	reg.Upsert("d", "disks", nil, 9) // same kind keeps the swap-in-place path
-	if d := reg.Get("d"); d.Kind != "disks" || d.Version() != 9 {
+	reg.Upsert(info("disks", 9)) // same kind resets in place
+	if d := reg.Get("d"); d != recreated || d.Kind != "disks" || d.Version() != 9 {
 		t.Fatalf("same-kind upsert lost: kind %q version %d", d.Kind, d.Version())
 	}
 }
@@ -124,7 +138,7 @@ func TestUpsertKindChangeConcurrent(t *testing.T) {
 			if v%3 == 0 {
 				kind = "disks"
 			}
-			reg.Upsert("d", kind, nil, uint64(v))
+			reg.Upsert(store.DatasetInfo{Name: "d", Kind: kind, Version: uint64(v)})
 		}(v)
 	}
 	wg.Wait()

@@ -53,22 +53,6 @@ type Config struct {
 	// through it, and its datasets are loaded into the registry at New.
 	// Without a store the mutation endpoints answer 409 read_only.
 	Store *store.Store
-	// EngineMode selects how durable datasets are served. EngineDynamic
-	// (the default) backs them with delta-applied pnn.DynamicIndex
-	// engines: a write flows to live engines as a mutation delta,
-	// costing amortized O(log n) instead of a full rebuild per engine.
-	// EngineStatic restores the pre-delta behavior — every write swaps
-	// the engine generation and rebuilds lazily. Requests with
-	// backend=diagram always get a static engine (a diagram cannot
-	// answer under a merged bound), rebuilt per write.
-	EngineMode string
-	// DeltaCompactFraction bounds delete-heavy deltas on the dynamic
-	// path: when one refresh carries more deletes than this fraction of
-	// the dataset's live points (and at least deltaCompactMin of them),
-	// the refresh falls back to a generation swap so tombstone-heavy
-	// engines are rebuilt compactly instead of patched. 0 means the
-	// default (0.25); < 0 disables the fallback (always apply deltas).
-	DeltaCompactFraction float64
 	// AdminToken guards the mutation endpoints: requests must carry
 	// "Authorization: Bearer <AdminToken>". Empty means the mutation
 	// endpoints are disabled (403) even with a store — the admin
@@ -97,21 +81,6 @@ type Config struct {
 	TraceBuffer int
 }
 
-// EngineMode values.
-const (
-	// EngineDynamic serves durable datasets through delta-applied
-	// dynamic engines (the default).
-	EngineDynamic = "dynamic"
-	// EngineStatic serves durable datasets through rebuild-on-write
-	// static engines (the pre-delta write path).
-	EngineStatic = "static"
-)
-
-// deltaCompactMin is the minimum number of deletes in one refresh
-// before DeltaCompactFraction can force a swap: point-at-a-time churn
-// on tiny datasets must never degenerate into rebuild-per-delete.
-const deltaCompactMin = 4
-
 // DefaultConfig returns the documented defaults.
 func DefaultConfig() Config {
 	return Config{
@@ -121,8 +90,6 @@ func DefaultConfig() Config {
 		RequestTimeout:       30 * time.Second,
 		MaxEnginesPerDataset: 32,
 		SlowQueryThreshold:   time.Second,
-		EngineMode:           EngineDynamic,
-		DeltaCompactFraction: 0.25,
 		TraceBuffer:          obs.DefaultTraceBuffer,
 	}
 }
@@ -162,15 +129,6 @@ func (c Config) withDefaults() Config {
 	case c.SlowQueryThreshold == 0:
 		c.SlowQueryThreshold = d.SlowQueryThreshold
 	}
-	if c.EngineMode == "" {
-		c.EngineMode = d.EngineMode
-	}
-	switch {
-	case c.DeltaCompactFraction < 0:
-		c.DeltaCompactFraction = 0
-	case c.DeltaCompactFraction == 0:
-		c.DeltaCompactFraction = d.DeltaCompactFraction
-	}
 	if c.TraceBuffer == 0 {
 		c.TraceBuffer = d.TraceBuffer
 	}
@@ -190,13 +148,14 @@ type Server struct {
 	handler http.Handler
 	// refreshLocks serializes refreshDataset per dataset name: the
 	// read-store-then-update-registry sequence is not atomic, so
-	// without it a slow refresh from an older mutation could Upsert
-	// after a concurrent drop's Remove and resurrect a ghost dataset.
+	// without it a slow refresh from an older mutation could reset the
+	// entry after a concurrent drop's Remove and resurrect a ghost
+	// dataset.
 	// Entries are refcounted and reclaimed when idle (see lockRefresh).
 	refreshMu    sync.Mutex
 	refreshLocks map[string]*refreshLock
 	// closed distinguishes a batcher drained by Close (late queries
-	// must fail) from one drained by an engine swap (the query retries
+	// must fail) from one drained by an engine reset (the query retries
 	// against the new generation).
 	closed atomic.Bool
 }
@@ -240,12 +199,8 @@ func New(reg *Registry, cfg Config) *Server {
 	})
 	if cfg.Store != nil {
 		s.metrics.reg.Register(cfg.Store.Collectors()...)
-		for _, name := range cfg.Store.Names() {
-			info, set, err := cfg.Store.View(name)
-			if err != nil {
-				continue // surfaces as empty_dataset / unknown until fixed
-			}
-			reg.Upsert(name, info.Kind, set, info.Version)
+		for _, info := range cfg.Store.Infos() {
+			reg.Upsert(info)
 		}
 	}
 	mux := http.NewServeMux()
@@ -385,10 +340,10 @@ type queryError struct {
 // returned body has no trailing newline (writeRaw appends one).
 //
 // Mutations race with queries by design: the cache key carries the
-// dataset version read together with the set snapshot, so a stale
+// dataset version read together with the point count, so a stale
 // cache line can never answer a post-write query, and a query that
 // loses its engine generation mid-flight (errStaleVersion from the
-// lookup, or ErrBatcherClosed from a batcher drained by the swap)
+// lookup, or ErrBatcherClosed from a batcher drained by a reset)
 // retries against the new generation.
 func (s *Server) answer(ctx context.Context, op pnn.Op, p params) (body []byte, cacheStatus string, qerr *queryError) {
 	const maxSwapRetries = 4
@@ -511,16 +466,16 @@ func (s *Server) answer(ctx context.Context, op pnn.Op, p params) (body []byte, 
 }
 
 // buildEngine constructs one entry's engine and batcher. Durable
-// datasets build from an authoritative store read taken here — under
-// EngineDynamic a delta-applicable dynamic engine (except for
-// backend=diagram, which no dynamic engine can serve), otherwise a
-// static one. The store may already be ahead of the entry's label
+// datasets build from an authoritative store read taken here: a
+// delta-applicable dynamic engine, except for backend=diagram, which
+// no dynamic engine can serve and which gets a static engine rebuilt
+// on every write. The store may already be ahead of the entry's label
 // version; e.applied records the version actually read, so applyDelta
-// never replays ops the build already saw. Non-durable datasets build
-// statically from the registry's immutable set, exactly as before the
-// delta path existed. Store reads that fail or disagree with the
-// registry's kind (a concurrent drop or drop+recreate) surface as
-// errStaleVersion, which the answer loop treats as one more retry.
+// never replays ops the build already saw. Store reads that fail or
+// disagree with the registry's kind (a concurrent drop or
+// drop+recreate) surface as errStaleVersion, which the answer loop
+// treats as one more retry. Static datasets build from their immutable
+// set.
 func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, key IndexKey, version uint64) {
 	opts, err := key.Options()
 	if err != nil {
@@ -538,19 +493,14 @@ func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, ke
 	build := obs.StartTimer()
 	defer func() { s.metrics.stages.With("build").ObserveDuration(build.Total()) }()
 	switch {
-	case ds.Durable() && s.cfg.Store != nil && s.cfg.EngineMode == EngineDynamic && key.Backend != "diagram":
-		info, ids, pts, err := s.cfg.Store.PointsView(ds.Name)
-		if err != nil || info.Kind != ds.Kind {
-			e.err = fmt.Errorf("store read during engine build (%v): %w", err, errStaleVersion)
-			return
-		}
-		eng, err := engine.BuildDynamic(ids, pts, opts)
+	case !ds.Durable():
+		ix, err := pnn.New(ds.Set(), opts...)
 		if err != nil {
 			e.err = err
 			return
 		}
-		e.eng, e.applied = eng, info.Version
-	case ds.Durable() && s.cfg.Store != nil:
+		e.eng, e.applied = engine.NewStatic(ix), version
+	case key.Backend == "diagram":
 		info, set, err := s.cfg.Store.View(ds.Name)
 		if err != nil || info.Kind != ds.Kind || set == nil {
 			e.err = fmt.Errorf("store read during engine build (%v): %w", err, errStaleVersion)
@@ -563,17 +513,17 @@ func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, ke
 		}
 		e.eng, e.applied = engine.NewStatic(ix), info.Version
 	default:
-		set := ds.Set()
-		if set == nil {
-			e.err = errStaleVersion
+		info, ids, pts, err := s.cfg.Store.PointsView(ds.Name)
+		if err != nil || info.Kind != ds.Kind {
+			e.err = fmt.Errorf("store read during engine build (%v): %w", err, errStaleVersion)
 			return
 		}
-		ix, err := pnn.New(set, opts...)
+		eng, err := engine.BuildDynamic(ids, pts, opts)
 		if err != nil {
 			e.err = err
 			return
 		}
-		e.eng, e.applied = engine.NewStatic(ix), version
+		e.eng, e.applied = eng, info.Version
 	}
 	e.batcher = NewBatcher(e.eng, s.cfg.BatchWindow, s.cfg.BatchMaxSize,
 		s.cfg.BatchWorkers, s.metrics.flush)

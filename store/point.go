@@ -100,21 +100,21 @@ func discretePoint(d datafile.DiscreteJSON) (pnn.DiscretePoint, error) {
 
 // buildSet assembles the pnn set of a dataset's live points in id
 // order; nil (with nil error) when there are no points.
-func buildSet(kind string, pts []storedPoint) (pnn.UncertainSet, error) {
+func buildSet(kind string, pts []Point) (pnn.UncertainSet, error) {
 	if len(pts) == 0 {
 		return nil, nil
 	}
 	switch kind {
 	case KindDisks:
 		out := make([]pnn.DiskPoint, len(pts))
-		for i, sp := range pts {
-			out[i] = diskPoint(*sp.P.Disk)
+		for i, p := range pts {
+			out[i] = diskPoint(*p.Disk)
 		}
 		return pnn.NewContinuousSet(out)
 	case KindDiscrete:
 		out := make([]pnn.DiscretePoint, len(pts))
-		for i, sp := range pts {
-			p, err := discretePoint(*sp.P.Discrete)
+		for i, pt := range pts {
+			p, err := discretePoint(*pt.Discrete)
 			if err != nil {
 				return nil, err
 			}

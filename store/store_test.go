@@ -66,10 +66,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("unknown dataset: %v", err)
 	}
 
-	set, v1, err := s.Set("fleet")
+	info, set, err := s.View("fleet")
 	if err != nil {
 		t.Fatal(err)
 	}
+	v1 := info.Version
 	if set.Len() != 2 {
 		t.Fatalf("set len %d", set.Len())
 	}
@@ -100,7 +101,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	s2 := mustOpen(t, dir)
 	defer s2.Close()
-	ids, pts, err := s2.Points("fleet")
+	_, ids, pts, err := s2.PointsView("fleet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestCompactAndRecover(t *testing.T) {
 
 	s2 := mustOpen(t, dir)
 	defer s2.Close()
-	ids, _, err := s2.Points("a")
+	_, ids, _, err := s2.PointsView("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ type storeState struct {
 func captureState(s *Store) storeState {
 	st := storeState{Infos: s.Infos(), Points: map[string][]uint64{}}
 	for _, in := range st.Infos {
-		ids, _, _ := s.Points(in.Name)
+		_, ids, _, _ := s.PointsView(in.Name)
 		st.Points[in.Name] = ids
 	}
 	return st
@@ -459,7 +460,7 @@ func TestCompactConcurrentWithWrites(t *testing.T) {
 
 	s2 := mustOpen(t, dir)
 	defer s2.Close()
-	ids, _, err := s2.Points("a")
+	_, ids, _, err := s2.PointsView("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +515,7 @@ func TestGroupCommitConcurrency(t *testing.T) {
 		t.Fatalf("N = %d, want %d", di.N, writers*each)
 	}
 	// Ids are unique.
-	ids, _, _ := s.Points("a")
+	_, ids, _, _ := s.PointsView("a")
 	seen := map[uint64]bool{}
 	for _, id := range ids {
 		if seen[id] {
