@@ -1,6 +1,6 @@
 // Command pnnbench regenerates the quantitative results of the paper.
-// Each experiment id matches a row of the experiment index in DESIGN.md
-// and a section of EXPERIMENTS.md.
+// pnnbench -experiment list prints every experiment id with the result
+// it reproduces; ARCHITECTURE.md maps each result to its implementation.
 //
 // Usage:
 //
@@ -47,7 +47,7 @@ import (
 )
 
 var (
-	experiment = flag.String("experiment", "all", "experiment id (see DESIGN.md) or 'all'")
+	experiment = flag.String("experiment", "all", "experiment id (see -experiment list) or 'all'")
 	quick      = flag.Bool("quick", false, "smaller parameter sweeps")
 	seed       = flag.Int64("seed", 1, "random seed")
 	jsonDir    = flag.String("json", "", "directory for BENCH_<id>.json records (empty disables)")
@@ -1211,7 +1211,9 @@ func expMicrobench() {
 }
 
 // E21 — ablation: polyline flattening density vs diagram-query agreement
-// with the brute oracle (the DESIGN.md §5(3) tolerance trade).
+// with the brute oracle. The diagram flattens each curve γ_i into a
+// polyline, so queries near a curve may disagree with the exact
+// predicate; denser flattening buys agreement with more faces.
 func expAblationFlatten() {
 	r := rng()
 	disks := workload.RandomDisks(r, 10, 100, 1, 5)

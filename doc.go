@@ -77,6 +77,8 @@
 // Threshold rejects NaN and ±Inf taus with ErrInvalidParam, and never
 // certifies a zero-probability point — Threshold(q, 0) reports exactly
 // the positive-probability points as Certain under an exact engine.
+// New and NewDynamic reject quantifier parameters outside their domain
+// (eps and delta in (0, 1), rounds ≥ 1) with ErrInvalidParam.
 //
 // # Determinism
 //
@@ -94,24 +96,25 @@
 // structures are dynamized with the Bentley–Saxe logarithmic method
 // (points live in O(log n) static buckets that merge on overflow;
 // deletes are tombstones with compaction once they reach the live
-// count), and every query — Nonzero through the merged per-bucket
-// structures, quantification through a lazily rebuilt live view — is
-// bitwise identical to a fresh static Index built from the surviving
-// points with the same options. Result indices refer to the survivors
-// in insertion order; IDs maps them back to PointIDs.
+// count), and every query is bitwise identical to a fresh static Index
+// built from the surviving points with the same options. Nonzero
+// answers through the merged per-bucket structures. Exact, discrete
+// SpiralSearch and ExpectedNN answer from the buckets and the live
+// points, with no rebuild after a write. MonteCarlo, MonteCarloBudget,
+// continuous SpiralSearch and VPrDiagram draw randomness or build a
+// diagram over the whole set, so they answer through a static view
+// rebuilt lazily on the first such query after a write. Result indices
+// refer to the survivors in insertion order; IDs maps them back to
+// PointIDs.
 //
-// # Legacy API
+// # Removed per-set API
 //
-// The per-set query methods predating the facade — NonzeroAt,
-// BuildDiagram, NewNonzeroIndex, ExactProbabilities, NewMonteCarlo,
-// NewSpiral, NewVPr, and friends — remain as deprecated thin wrappers
-// over the same internals and answer exactly as the facade does; new
-// code should construct an Index instead. One breaking rename: the
-// Monte Carlo estimator type is now MonteCarloEstimator, freeing the
-// MonteCarlo name for the quantifier option (constructor calls are
-// unaffected).
+// The per-set query methods and their wrapper types (NonzeroAt,
+// BuildDiagram, NewMonteCarlo, NewSpiral, NewVPr and the rest) were
+// removed in favour of New, which answers every query they did.
 //
 // The quickstart in examples/quickstart shows both query families end to
-// end; DESIGN.md maps every theorem of the paper to its implementation
-// and EXPERIMENTS.md records the measured reproductions.
+// end; ARCHITECTURE.md maps every theorem of the paper to its
+// implementation, and cmd/pnnbench regenerates the measured
+// reproductions (pnnbench -experiment list).
 package pnn

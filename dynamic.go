@@ -134,9 +134,9 @@ type dynItem struct {
 // discrete, or squares) is fixed by the first insert; options are
 // validated against it there.
 func NewDynamic(opts ...Option) (*DynamicIndex, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.src != nil {
 		return nil, fmt.Errorf("pnn: WithRandSource is unsupported for DynamicIndex (view rebuilds must replay the same randomness; use WithSeed): %w", ErrUnsupported)

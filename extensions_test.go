@@ -3,7 +3,12 @@ package pnn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"pnn/internal/geom"
+	"pnn/internal/linf"
+	"pnn/internal/quantify"
 )
 
 func TestExpectedNNDiscrete(t *testing.T) {
@@ -15,15 +20,19 @@ func TestExpectedNNDiscrete(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Pt(0, 0)
-	i, d := set.ExpectedNN(q)
-	if i != 0 || math.Abs(d-10) > 1e-12 {
-		t.Fatalf("expected NN %d at %v", i, d)
+	idx := mustNew(t, set)
+	i, d, err := idx.ExpectedNN(q)
+	if err != nil || i != 0 || math.Abs(d-10) > 1e-12 {
+		t.Fatalf("expected NN %d at %v (%v)", i, d, err)
 	}
-	if got := set.ExpectedDistance(q, 1); math.Abs(got-12.5) > 1e-12 {
+	if wi, wd := quantify.ExpectedNNDiscrete(set.dists, toGeom(q)); i != wi || d != wd {
+		t.Fatalf("facade (%d, %v) vs oracle (%d, %v)", i, d, wi, wd)
+	}
+	if got := quantify.ExpectedDistanceDiscrete(set.dists[1], toGeom(q)); math.Abs(got-12.5) > 1e-12 {
 		t.Fatalf("E[d_1] = %v", got)
 	}
 	// §1.2's point: probability ranking disagrees with expected distance.
-	pi := set.ExactProbabilities(q)
+	pi, _ := idx.Probabilities(q)
 	if pi[1] <= pi[0] {
 		t.Fatalf("probability should favor the spread point: %v", pi)
 	}
@@ -37,9 +46,12 @@ func TestExpectedNNContinuous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i, _ := set.ExpectedNN(Pt(0, 0), 128)
-	if i != 1 {
-		t.Fatalf("continuous expected NN %d", i)
+	i, d, err := mustNew(t, set, WithIntegrationPanels(128)).ExpectedNN(Pt(0, 0))
+	if err != nil || i != 1 {
+		t.Fatalf("continuous expected NN %d (%v)", i, err)
+	}
+	if wi, wd := quantify.ExpectedNNContinuous(set.conts, geom.Pt(0, 0), 128); i != wi || d != wd {
+		t.Fatalf("facade (%d, %v) vs oracle (%d, %v)", i, d, wi, wd)
 	}
 }
 
@@ -49,10 +61,16 @@ func TestThresholdQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := set.NewSpiral()
 	q := Pt(50, 50)
-	res := sp.Threshold(q, 0.25, 0.05)
-	exact := set.ExactProbabilities(q)
+	res, err := mustNew(t, set, WithQuantifier(SpiralSearch(0.05))).Threshold(q, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := quantify.NewSpiral(set.dists).Threshold(toGeom(q), 0.25, 0.05)
+	if !reflect.DeepEqual(res.Certain, want.Certain) || !reflect.DeepEqual(res.Possible, want.Possible) {
+		t.Fatalf("facade threshold %+v vs oracle %+v", res, want)
+	}
+	exact := quantify.ExactAll(set.dists, toGeom(q))
 	for _, i := range res.Certain {
 		if exact[i] < 0.25-1e-9 {
 			t.Fatalf("certain %d has π=%v", i, exact[i])
@@ -80,8 +98,7 @@ func TestContinuousSpiral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := set.NewSpiral(500, nil)
-	pi := sp.Estimate(Pt(5, 0.01), 0.01)
+	pi, _ := mustNew(t, set, WithQuantifier(SpiralSearch(0.01)), WithSpiralSamples(500)).Probabilities(Pt(5, 0.01))
 	if math.Abs(pi[0]-0.5) > 0.06 || math.Abs(pi[1]-0.5) > 0.06 {
 		t.Fatalf("continuous spiral: %v", pi)
 	}
@@ -97,10 +114,10 @@ func TestSquareSetAgainstOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := set.NewNonzeroIndex()
+	ix := mustNew(t, set)
 	for probe := 0; probe < 200; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
-		if !equalIntsPNN(ix.Query(q), set.NonzeroAt(q)) {
+		if got, _ := ix.Nonzero(q); !reflect.DeepEqual(got, linf.NonzeroSet(set.squares, toGeom(q))) {
 			t.Fatalf("L∞ index disagrees at %v", q)
 		}
 	}
@@ -115,30 +132,6 @@ func TestSquareSetValidation(t *testing.T) {
 	}
 }
 
-func TestMonteCarloParallelPublic(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	set, err := NewDiscreteSet(randomDiscretePoints(r, 8, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := set.NewMonteCarloParallel(500, 9, 0)
-	q := Pt(50, 50)
-	serial := mc.Estimate(q)
-	parallel := mc.EstimateParallel(q, 4)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("parallel estimate differs at %d: %v vs %v", i, serial[i], parallel[i])
-		}
-	}
-	// Deterministic across worker counts at build time too.
-	mc2 := set.NewMonteCarloParallel(500, 9, 1)
-	for i, p := range mc2.Estimate(q) {
-		if p != serial[i] {
-			t.Fatalf("build parallelism changed results at %d", i)
-		}
-	}
-}
-
 func TestTopKPublic(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	set, err := NewDiscreteSet(randomDiscretePoints(r, 12, 3))
@@ -146,7 +139,10 @@ func TestTopKPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Pt(50, 50)
-	exactTop := set.TopKProbable(q, 3)
+	exactTop, _ := mustNew(t, set).TopK(q, 3)
+	if want := toIndexProbs(quantify.TopK(quantify.ExactAll(set.dists, toGeom(q)), 3)); !reflect.DeepEqual(exactTop, want) {
+		t.Fatalf("facade top-k %v vs oracle %v", exactTop, want)
+	}
 	if len(exactTop) == 0 {
 		t.Fatal("no top-k results")
 	}
@@ -155,8 +151,7 @@ func TestTopKPublic(t *testing.T) {
 			t.Fatal("top-k not sorted")
 		}
 	}
-	sp := set.NewSpiral()
-	spTop := sp.TopK(q, 3, 0.01)
+	spTop, _ := mustNew(t, set, WithQuantifier(SpiralSearch(0.01))).TopK(q, 3)
 	if len(spTop) == 0 || spTop[0].Index != exactTop[0].Index {
 		t.Fatalf("spiral top-1 %v vs exact top-1 %v", spTop, exactTop)
 	}

@@ -9,7 +9,11 @@ import (
 	"slices"
 	"sync"
 
+	"pnn/internal/core"
 	"pnn/internal/dist"
+	"pnn/internal/geom"
+	"pnn/internal/linf"
+	"pnn/internal/nnq"
 	"pnn/internal/quantify"
 )
 
@@ -18,8 +22,9 @@ import (
 // L∞ metric, or a V_Pr diagram over continuous points).
 var ErrUnsupported = errors.New("pnn: unsupported for this configuration")
 
-// ErrInvalidParam reports a query parameter outside its domain: a
-// negative k for TopK, or a NaN/±Inf tau for Threshold.
+// ErrInvalidParam reports a parameter outside its domain: a negative k
+// for TopK, a NaN/±Inf tau for Threshold, or a quantifier parameter
+// outside the range documented on its constructor.
 var ErrInvalidParam = errors.New("pnn: invalid query parameter")
 
 // UncertainSet is the common interface of the three uncertain-point
@@ -48,8 +53,8 @@ type Index struct {
 	cfg    config
 
 	nonzero func(Point) []int
-	// nonzeroInto, when non-nil, is the caller-buffer variant of nonzero
-	// (appends into dst from its start).
+	// nonzeroInto is the caller-buffer variant of nonzero (appends into
+	// dst from its start).
 	nonzeroInto func(q Point, dst []int) []int
 
 	quantSurface
@@ -111,9 +116,9 @@ func New(data UncertainSet, opts ...Option) (*Index, error) {
 	if data.Len() == 0 {
 		return nil, errors.New("pnn: empty uncertain set")
 	}
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	if !cfg.metricSet {
 		cfg.metric = data.defaultMetric()
@@ -124,7 +129,6 @@ func New(data UncertainSet, opts ...Option) (*Index, error) {
 	}
 	ix := &Index{metric: cfg.metric, cfg: cfg}
 	ix.set, ix.n = data, data.Len()
-	var err error
 	switch s := data.(type) {
 	case *ContinuousSet:
 		err = ix.buildContinuous(s)
@@ -214,26 +218,33 @@ func (ix *Index) rng() *rand.Rand {
 
 // useMonteCarlo wires a Monte Carlo estimator into all three probability
 // slots: dense, dense-into, and the native sparse answer (≤ s entries).
-func (ix *Index) useMonteCarlo(mc *MonteCarloEstimator) {
-	ix.probs = mc.Estimate
+func (ix *Index) useMonteCarlo(mc *quantify.MonteCarlo) {
+	ix.probs = func(p Point) []float64 { return mc.Estimate(toGeom(p)) }
 	ix.probsInto = func(p Point, pi []float64) []float64 {
-		return mc.mc.EstimateInto(toGeom(p), pi)
+		return mc.EstimateInto(toGeom(p), pi)
 	}
 	ix.sparseInto = func(p Point, dst []quantify.IndexProb) []quantify.IndexProb {
-		return mc.mc.EstimatePositiveInto(toGeom(p), dst)
+		return mc.EstimatePositiveInto(toGeom(p), dst)
 	}
 }
 
 // useSpiral wires a spiral-search estimator into all three probability
 // slots (the sparse answer touches only the m(ρ,ε) retrieved locations).
-func (ix *Index) useSpiral(sp *Spiral, eps float64) {
-	ix.probs = func(p Point) []float64 { return sp.Estimate(p, eps) }
+func (ix *Index) useSpiral(sp *quantify.Spiral, eps float64) {
+	ix.probs = func(p Point) []float64 { return sp.Estimate(toGeom(p), eps) }
 	ix.probsInto = func(p Point, pi []float64) []float64 {
-		return sp.sp.EstimateInto(toGeom(p), eps, pi)
+		return sp.EstimateInto(toGeom(p), eps, pi)
 	}
 	ix.sparseInto = func(p Point, dst []quantify.IndexProb) []quantify.IndexProb {
-		return sp.sp.EstimatePositiveInto(toGeom(p), eps, dst)
+		return sp.EstimatePositiveInto(toGeom(p), eps, dst)
 	}
+}
+
+// useNonzero wires an NN≠0 structure's allocating and caller-buffer
+// queries.
+func (ix *Index) useNonzero(query func(geom.Point) []int, into func(geom.Point, []int) []int) {
+	ix.nonzero = func(q Point) []int { return query(toGeom(q)) }
+	ix.nonzeroInto = func(q Point, dst []int) []int { return into(toGeom(q), dst) }
 }
 
 // The use* wirings below read their points through pts at query time,
@@ -283,16 +294,15 @@ func (ix *quantSurface) useExpectedDiscrete(pts func() []*dist.Discrete) {
 func (ix *Index) buildContinuous(s *ContinuousSet) error {
 	switch ix.cfg.backend {
 	case BackendDirect:
-		ix.nonzero = s.NonzeroAt
-		ix.nonzeroInto = s.nonzeroAtInto
+		ix.useNonzero(
+			func(q geom.Point) []int { return core.NonzeroSet(s.disks, q) },
+			func(q geom.Point, dst []int) []int { return core.NonzeroSetInto(s.disks, q, dst) })
 	case BackendDiagram:
-		d := s.BuildDiagram()
-		ix.nonzero = d.Query
-		ix.nonzeroInto = d.queryInto
+		d := core.BuildDiagram(s.disks, core.DiagramOptions{})
+		ix.useNonzero(d.Query, d.QueryInto)
 	default:
-		nzi := s.NewNonzeroIndex()
-		ix.nonzero = nzi.Query
-		ix.nonzeroInto = nzi.queryInto
+		nzi := nnq.NewContinuous(s.disks)
+		ix.useNonzero(nzi.Query, nzi.QueryInto)
 	}
 	conts := func() []dist.Continuous { return s.conts }
 	switch q := ix.cfg.quant; q.kind {
@@ -301,16 +311,18 @@ func (ix *Index) buildContinuous(s *ContinuousSet) error {
 	case quantMonteCarlo:
 		ix.eps = q.eps
 		ix.twoSided = true
-		ix.useMonteCarlo(s.NewMonteCarlo(q.eps, q.delta, ix.rng()))
+		rounds := quantify.SampleCountContinuous(s.Len(), q.eps, q.delta)
+		ix.useMonteCarlo(quantify.NewMonteCarloContinuous(s.conts, rounds, ix.rng()))
 	case quantMonteCarloBudget:
-		ix.useMonteCarlo(s.NewMonteCarloRounds(q.rounds, ix.rng()))
+		ix.useMonteCarlo(quantify.NewMonteCarloContinuous(s.conts, q.rounds, ix.rng()))
 	case quantSpiral:
 		ix.eps = q.eps
 		// The Lemma 4.4 discretization adds a two-sided sampling term to
 		// the spiral's one-sided ε, so the continuous composition cannot
 		// certify thresholds one-sidedly; classify conservatively.
 		ix.twoSided = true
-		ix.useSpiral(s.NewSpiral(ix.cfg.spiralSamples, ix.rng()), q.eps)
+		sc := quantify.NewSpiralContinuous(s.conts, ix.cfg.spiralSamples, ix.rng())
+		ix.useSpiral(sc.Spiral, q.eps)
 	case quantVPr:
 		return fmt.Errorf("pnn: VPrDiagram requires discrete points: %w", ErrUnsupported)
 	}
@@ -321,16 +333,15 @@ func (ix *Index) buildContinuous(s *ContinuousSet) error {
 func (ix *Index) buildDiscrete(s *DiscreteSet) error {
 	switch ix.cfg.backend {
 	case BackendDirect:
-		ix.nonzero = s.NonzeroAt
-		ix.nonzeroInto = s.nonzeroAtInto
+		ix.useNonzero(
+			func(q geom.Point) []int { return core.NonzeroSetDiscrete(s.sups, q) },
+			func(q geom.Point, dst []int) []int { return core.NonzeroSetDiscreteInto(s.sups, q, dst) })
 	case BackendDiagram:
-		d := s.BuildDiagram()
-		ix.nonzero = d.Query
-		ix.nonzeroInto = d.queryInto
+		d := core.BuildDiscreteDiagram(s.sups, core.DiscreteDiagramOptions{})
+		ix.useNonzero(d.Query, d.QueryInto)
 	default:
-		nzi := s.NewNonzeroIndex()
-		ix.nonzero = nzi.Query
-		ix.nonzeroInto = nzi.queryInto
+		nzi := nnq.NewDiscrete(s.sups)
+		ix.useNonzero(nzi.Query, nzi.QueryInto)
 	}
 	dists := func() []*dist.Discrete { return s.dists }
 	switch q := ix.cfg.quant; q.kind {
@@ -339,27 +350,27 @@ func (ix *Index) buildDiscrete(s *DiscreteSet) error {
 	case quantMonteCarlo:
 		ix.eps = q.eps
 		ix.twoSided = true
-		ix.useMonteCarlo(s.NewMonteCarlo(q.eps, q.delta, ix.rng()))
+		rounds := quantify.SampleCountDiscrete(s.Len(), s.K(), q.eps, q.delta)
+		ix.useMonteCarlo(quantify.NewMonteCarloDiscrete(s.dists, rounds, ix.rng()))
 	case quantMonteCarloBudget:
-		ix.useMonteCarlo(s.NewMonteCarloRounds(q.rounds, ix.rng()))
+		ix.useMonteCarlo(quantify.NewMonteCarloDiscrete(s.dists, q.rounds, ix.rng()))
 	case quantSpiral:
-		sp := s.NewSpiral()
 		ix.eps = q.eps
-		ix.useSpiral(sp, q.eps)
+		ix.useSpiral(quantify.NewSpiral(s.dists), q.eps)
 	case quantVPr:
-		v := s.NewVPr(q.minX, q.minY, q.maxX, q.maxY)
+		v := quantify.NewVPr(s.dists, geom.BBox{MinX: q.minX, MinY: q.minY, MaxX: q.maxX, MaxY: q.maxY})
 		// V_Pr stores one vector per diagram face; copy so callers can
 		// mutate results without corrupting the cache (and so batch
 		// results never alias each other).
 		ix.probs = func(p Point) []float64 {
-			pi := v.Query(p)
+			pi := v.Query(toGeom(p))
 			out := make([]float64, len(pi))
 			copy(out, pi)
 			return out
 		}
 		ix.probsInto = func(p Point, pi []float64) []float64 {
 			pi = pi[:0]
-			return append(pi, v.Query(p)...)
+			return append(pi, v.Query(toGeom(p))...)
 		}
 	}
 	ix.useExpectedDiscrete(dists)
@@ -369,14 +380,14 @@ func (ix *Index) buildDiscrete(s *DiscreteSet) error {
 func (ix *Index) buildSquare(s *SquareSet) error {
 	switch ix.cfg.backend {
 	case BackendDirect:
-		ix.nonzero = s.NonzeroAt
-		ix.nonzeroInto = s.nonzeroAtInto
+		ix.useNonzero(
+			func(q geom.Point) []int { return linf.NonzeroSet(s.squares, q) },
+			func(q geom.Point, dst []int) []int { return linf.NonzeroSetInto(s.squares, q, dst) })
 	case BackendDiagram:
 		return fmt.Errorf("pnn: no diagram backend under L∞: %w", ErrUnsupported)
 	default:
-		nzi := s.NewNonzeroIndex()
-		ix.nonzero = nzi.Query
-		ix.nonzeroInto = nzi.queryInto
+		lix := linf.Build(s.squares)
+		ix.useNonzero(lix.Query, lix.QueryInto)
 	}
 	// Quantification over square regions is an open extension; NN≠0 is
 	// the query family §3 Remark (ii) supports. Reject an explicitly
@@ -410,10 +421,7 @@ func (ix *Index) Nonzero(q Point) ([]int, error) {
 // loops. The returned slice shares buf's memory and is only valid until
 // the next NonzeroInto call with the same buffer.
 func (ix *Index) NonzeroInto(q Point, buf []int) ([]int, error) {
-	if ix.nonzeroInto != nil {
-		return ix.nonzeroInto(q, buf), nil
-	}
-	return append(buf[:0], ix.nonzero(q)...), nil
+	return ix.nonzeroInto(q, buf), nil
 }
 
 // Probabilities returns π_i(q) for every point, computed by the

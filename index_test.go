@@ -7,9 +7,23 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"pnn/internal/baseline"
+	"pnn/internal/core"
+	"pnn/internal/geom"
+	"pnn/internal/linf"
+	"pnn/internal/quantify"
 )
 
-// The facade must answer identically to the legacy per-set paths on
+func toIndexProbs(in []quantify.IndexProb) []IndexProb {
+	out := make([]IndexProb, len(in))
+	for i, ip := range in {
+		out[i] = IndexProb{Index: ip.I, Prob: ip.P}
+	}
+	return out
+}
+
+// The facade must answer bitwise identically to the internal oracles on
 // shared fixtures, for every data kind and backend.
 func TestIndexMatchesLegacyContinuous(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
@@ -18,7 +32,6 @@ func TestIndexMatchesLegacyContinuous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyIx := set.NewNonzeroIndex()
 	for _, backend := range []NonzeroBackend{BackendIndex, BackendDirect} {
 		idx, err := New(set, WithNonzeroBackend(backend))
 		if err != nil {
@@ -30,12 +43,12 @@ func TestIndexMatchesLegacyContinuous(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalIntsPNN(got, legacyIx.Query(q)) {
-				t.Fatalf("backend %v disagrees with legacy at %v", backend, q)
+			if !reflect.DeepEqual(got, core.NonzeroSet(set.disks, toGeom(q))) {
+				t.Fatalf("backend %v disagrees with the oracle at %v", backend, q)
 			}
 		}
 	}
-	// Exact (integration) probabilities match the legacy call.
+	// Exact (pruned integration) probabilities match the full-N oracle.
 	idx, err := New(set, WithIntegrationPanels(256))
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +58,7 @@ func TestIndexMatchesLegacyContinuous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := set.IntegrateProbabilities(q, 256)
+	want := baseline.IntegrateAll(set.conts, toGeom(q), 256)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("integration mismatch: %v vs %v", got, want)
 	}
@@ -61,18 +74,17 @@ func TestIndexMatchesLegacyDiscrete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyIx := set.NewNonzeroIndex()
 	for probe := 0; probe < 100; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
 		got, _ := idx.Nonzero(q)
-		if !equalIntsPNN(got, legacyIx.Query(q)) {
+		if !reflect.DeepEqual(got, core.NonzeroSetDiscrete(set.sups, toGeom(q))) {
 			t.Fatalf("facade nonzero disagrees at %v", q)
 		}
 		pi, err := idx.Probabilities(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(pi, set.ExactProbabilities(q)) {
+		if !reflect.DeepEqual(pi, quantify.ExactAll(set.dists, toGeom(q))) {
 			t.Fatalf("facade probabilities disagree at %v", q)
 		}
 	}
@@ -95,11 +107,10 @@ func TestIndexMatchesLegacySquare(t *testing.T) {
 	if idx.Metric() != Linf {
 		t.Fatalf("metric %v", idx.Metric())
 	}
-	legacyIx := set.NewNonzeroIndex()
 	for probe := 0; probe < 100; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
 		got, _ := idx.Nonzero(q)
-		if !equalIntsPNN(got, legacyIx.Query(q)) {
+		if !reflect.DeepEqual(got, linf.NonzeroSet(set.squares, toGeom(q))) {
 			t.Fatalf("L∞ facade disagrees at %v", q)
 		}
 	}
@@ -112,11 +123,12 @@ func TestIndexMatchesLegacySquare(t *testing.T) {
 	}
 }
 
-// Every quantifier on the facade matches its legacy counterpart given
-// the same seed.
+// Every quantifier on the facade matches its internal estimator given
+// the same random stream.
 func TestIndexQuantifiersMatchLegacy(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	set, err := NewDiscreteSet(randomDiscretePoints(r, 8, 3))
+	gq := geom.Pt(50, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +139,9 @@ func TestIndexQuantifiersMatchLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := mcIdx.Probabilities(q)
-	want := set.NewMonteCarloRounds(1500, rand.New(rand.NewSource(9))).Estimate(q)
+	want := quantify.NewMonteCarloDiscrete(set.dists, 1500, rand.New(rand.NewSource(9))).Estimate(gq)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("MonteCarloBudget disagrees with seeded legacy path")
+		t.Fatal("MonteCarloBudget disagrees with the seeded estimator")
 	}
 
 	spIdx, err := New(set, WithQuantifier(SpiralSearch(0.05)))
@@ -137,9 +149,9 @@ func TestIndexQuantifiersMatchLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ = spIdx.Probabilities(q)
-	want = set.NewSpiral().Estimate(q, 0.05)
+	want = quantify.NewSpiral(set.dists).Estimate(gq, 0.05)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("SpiralSearch disagrees with legacy spiral")
+		t.Fatal("SpiralSearch disagrees with the spiral estimator")
 	}
 
 	vprIdx, err := New(set, WithQuantifier(VPrDiagram(-10, -10, 110, 110)))
@@ -147,9 +159,9 @@ func TestIndexQuantifiersMatchLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ = vprIdx.Probabilities(q)
-	want = set.NewVPr(-10, -10, 110, 110).Query(q)
+	want = quantify.NewVPr(set.dists, geom.BBox{MinX: -10, MinY: -10, MaxX: 110, MaxY: 110}).Query(gq)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("VPrDiagram disagrees with legacy V_Pr")
+		t.Fatal("VPrDiagram disagrees with the V_Pr diagram")
 	}
 	// Facade results never alias the diagram's per-face cache: mutating
 	// one answer must not corrupt subsequent queries.
@@ -175,9 +187,9 @@ func TestIndexTopKAndThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := set.TopKProbable(q, 3)
-	if !reflect.DeepEqual(top, legacy) {
-		t.Fatalf("TopK %v vs legacy %v", top, legacy)
+	exact := quantify.ExactAll(set.dists, toGeom(q))
+	if want := toIndexProbs(quantify.TopK(exact, 3)); !reflect.DeepEqual(top, want) {
+		t.Fatalf("TopK %v vs oracle %v", top, want)
 	}
 
 	// Exact threshold: Certain only, matching direct comparison.
@@ -188,14 +200,13 @@ func TestIndexTopKAndThreshold(t *testing.T) {
 	if len(res.Possible) != 0 {
 		t.Fatal("exact quantifier must not report Possible")
 	}
-	exact := set.ExactProbabilities(q)
 	for _, i := range res.Certain {
 		if exact[i] < 0.2 {
 			t.Fatalf("certain %d has π=%v", i, exact[i])
 		}
 	}
 
-	// Spiral threshold: one-sided classification matches the legacy path.
+	// Spiral threshold: one-sided classification matches the estimator's.
 	spIdx, err := New(set, WithQuantifier(SpiralSearch(0.05)))
 	if err != nil {
 		t.Fatal(err)
@@ -204,9 +215,9 @@ func TestIndexTopKAndThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := set.NewSpiral().Threshold(q, 0.25, 0.05)
+	want := quantify.NewSpiral(set.dists).Threshold(toGeom(q), 0.25, 0.05)
 	if !reflect.DeepEqual(got.Certain, want.Certain) || !reflect.DeepEqual(got.Possible, want.Possible) {
-		t.Fatalf("spiral threshold %+v vs legacy %+v", got, want)
+		t.Fatalf("spiral threshold %+v vs oracle %+v", got, want)
 	}
 
 	// Two-sided Monte Carlo: Certain requires π̂ − ε ≥ tau, so every
@@ -283,6 +294,23 @@ func TestIndexOptionValidation(t *testing.T) {
 	}
 	if _, err := New(nil); err == nil {
 		t.Fatal("nil set must be rejected")
+	}
+	// Quantifier parameters outside their domain fail at construction
+	// instead of panicking or answering wrongly at query time.
+	for _, q := range []Quantifier{
+		MonteCarlo(0, 0.05), MonteCarlo(0.1, 0), MonteCarlo(-0.1, 0.05),
+		MonteCarlo(1, 0.05), MonteCarlo(math.NaN(), 0.05),
+		MonteCarloBudget(-5), MonteCarloBudget(0),
+		SpiralSearch(0), SpiralSearch(-1), SpiralSearch(math.NaN()),
+	} {
+		for _, set := range []UncertainSet{dset, cset} {
+			if _, err := New(set, WithQuantifier(q)); !errors.Is(err, ErrInvalidParam) {
+				t.Fatalf("New(%T, %+v): want ErrInvalidParam, got %v", set, q, err)
+			}
+		}
+	}
+	if _, err := NewDynamic(WithQuantifier(MonteCarlo(0, 0.05))); !errors.Is(err, ErrInvalidParam) {
+		t.Fatalf("NewDynamic with MonteCarlo(0, 0.05): want ErrInvalidParam, got %v", err)
 	}
 }
 

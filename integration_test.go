@@ -8,7 +8,12 @@ package pnn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"pnn/internal/baseline"
+	"pnn/internal/core"
+	"pnn/internal/quantify"
 )
 
 // All NN≠0 structures for disks answer identically away from boundaries:
@@ -20,16 +25,16 @@ func TestAllContinuousNonzeroStructuresAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := set.NewNonzeroIndex()
-		diag := set.BuildDiagram()
+		ix := mustNew(t, set)
+		diag := mustNew(t, set, WithNonzeroBackend(BackendDiagram))
 		diagMiss := 0
 		for probe := 0; probe < 300; probe++ {
 			q := Pt(r.Float64()*120-10, r.Float64()*120-10)
-			brute := set.NonzeroAt(q)
-			if !equalIntsPNN(ix.Query(q), brute) {
+			brute := core.NonzeroSet(set.disks, toGeom(q))
+			if got, _ := ix.Nonzero(q); !reflect.DeepEqual(got, brute) {
 				t.Fatalf("index vs brute at %v", q)
 			}
-			if !equalIntsPNN(diag.Query(q), brute) {
+			if got, _ := diag.Nonzero(q); !equalIntsPNN(got, brute) {
 				diagMiss++ // flattening-tolerance boundary effects only
 			}
 		}
@@ -42,21 +47,22 @@ func TestAllContinuousNonzeroStructuresAgree(t *testing.T) {
 // All quantification engines agree within their guarantees on the same
 // workload: exact sweep, V_Pr lookup, spiral (one-sided ε), MC (±ε whp).
 func TestAllQuantifiersAgree(t *testing.T) {
-	r := rand.New(rand.NewSource(101))
+	src := rand.NewSource(101)
+	r := rand.New(src)
 	set, err := NewDiscreteSet(randomDiscretePoints(r, 6, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vpr := set.NewVPr(-20, -20, 120, 120)
-	sp := set.NewSpiral()
-	mc := set.NewMonteCarloRounds(4000, r)
 	eps := 0.05
+	vpr := mustNew(t, set, WithQuantifier(VPrDiagram(-20, -20, 120, 120)))
+	sp := mustNew(t, set, WithQuantifier(SpiralSearch(eps)))
+	mc := mustNew(t, set, WithQuantifier(MonteCarloBudget(4000)), WithRandSource(src))
 	vprMiss := 0
 	for probe := 0; probe < 60; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
-		exact := set.ExactProbabilities(q)
+		exact := quantify.ExactAll(set.dists, toGeom(q))
 		// V_Pr: exact up to cell-boundary roundoff.
-		vq := vpr.Query(q)
+		vq, _ := vpr.Probabilities(q)
 		for i := range exact {
 			if math.Abs(vq[i]-exact[i]) > 1e-9 {
 				vprMiss++
@@ -64,14 +70,14 @@ func TestAllQuantifiersAgree(t *testing.T) {
 			}
 		}
 		// Spiral: one-sided.
-		sq := sp.Estimate(q, eps)
+		sq, _ := sp.Probabilities(q)
 		for i := range exact {
 			if sq[i] > exact[i]+1e-9 || exact[i] > sq[i]+eps+1e-9 {
 				t.Fatalf("spiral bound at %v idx %d: %v vs %v", q, i, sq[i], exact[i])
 			}
 		}
 		// MC: two-sided with slack (4000 rounds → ~0.05 at 3σ).
-		mq := mc.Estimate(q)
+		mq, _ := mc.Probabilities(q)
 		for i := range exact {
 			if math.Abs(mq[i]-exact[i]) > 0.07 {
 				t.Fatalf("MC at %v idx %d: %v vs %v", q, i, mq[i], exact[i])
@@ -103,13 +109,13 @@ func TestCertainPointCollapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cix := cset.NewNonzeroIndex()
-	dix := dset.NewNonzeroIndex()
+	cix := mustNew(t, cset)
+	dix := mustNew(t, dset)
 	for probe := 0; probe < 200; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
 		want := nearestIndex(disks, q)
-		cg := cix.Query(q)
-		dg := dix.Query(q)
+		cg, _ := cix.Nonzero(q)
+		dg, _ := dix.Nonzero(q)
 		if len(cg) != 1 || cg[0] != want {
 			t.Fatalf("continuous collapse at %v: %v want [%d]", q, cg, want)
 		}
@@ -117,7 +123,7 @@ func TestCertainPointCollapse(t *testing.T) {
 			t.Fatalf("discrete collapse at %v: %v want [%d]", q, dg, want)
 		}
 		// The probability vector is an indicator.
-		pi := dset.ExactProbabilities(q)
+		pi, _ := dix.Probabilities(q)
 		if math.Abs(pi[want]-1) > 1e-12 {
 			t.Fatalf("certain-point probability: %v", pi[want])
 		}
@@ -147,10 +153,10 @@ func TestContinuousQuantifiersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := set.NewMonteCarloRounds(20000, rand.New(rand.NewSource(103)))
+	mc := mustNew(t, set, WithQuantifier(MonteCarloBudget(20000)), WithSeed(103))
 	for _, q := range []Point{{X: 2, Y: 2}, {X: 0, Y: 4}} {
-		est := mc.Estimate(q)
-		ref := set.IntegrateProbabilities(q, 512)
+		est, _ := mc.Probabilities(q)
+		ref := baseline.IntegrateAll(set.conts, toGeom(q), 512)
 		for i := range ref {
 			if math.Abs(est[i]-ref[i]) > 0.02 {
 				t.Fatalf("MC vs integration at %v idx %d: %v vs %v", q, i, est[i], ref[i])
@@ -166,7 +172,7 @@ func TestProbabilityMassConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := set.NewSpiral()
+	sp := mustNew(t, set, WithQuantifier(SpiralSearch(0.01)))
 	q := Pt(50, 50)
 	sum := func(xs []float64) float64 {
 		s := 0.0
@@ -175,13 +181,14 @@ func TestProbabilityMassConservation(t *testing.T) {
 		}
 		return s
 	}
-	if s := sum(set.ExactProbabilities(q)); math.Abs(s-1) > 1e-9 {
+	if s := sum(quantify.ExactAll(set.dists, toGeom(q))); math.Abs(s-1) > 1e-9 {
 		t.Fatalf("exact mass %v", s)
 	}
 	// Spiral may undercount by at most ε per point but the total deficit
 	// is bounded by the retrieved tail mass; with ε=0.01 on this workload
 	// it stays near 1.
-	if s := sum(sp.Estimate(q, 0.01)); s < 0.9 || s > 1+1e-9 {
+	spq, _ := sp.Probabilities(q)
+	if s := sum(spq); s < 0.9 || s > 1+1e-9 {
 		t.Fatalf("spiral mass %v", s)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pnn/internal/geom"
@@ -128,6 +129,21 @@ func TestDiagramVertexKinds(t *testing.T) {
 	d := BuildDiagram(disks, DiagramOptions{SkipSubdivision: true})
 	if d.BreakpointCount()+d.CrossingCount() != d.VertexCount() {
 		t.Fatal("vertex kind counts must partition the vertex set")
+	}
+}
+
+// Without the subdivision a diagram only counts complexity, and Query
+// falls back to the direct Lemma 2.1 evaluation.
+func TestSkipSubdivisionFallback(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	disks := randomDisks(r, 8, 0.5, 4.5)
+	d := BuildDiagram(disks, DiagramOptions{SkipSubdivision: true})
+	if d.Sub != nil {
+		t.Fatal("complexity-only diagram must not build faces")
+	}
+	q := geom.Pt(50, 50)
+	if got, want := d.Query(q), NonzeroSet(disks, q); !slices.Equal(got, want) {
+		t.Fatalf("fallback query %v, want %v", got, want)
 	}
 }
 

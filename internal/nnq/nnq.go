@@ -11,7 +11,10 @@
 //     distance Δ(q) of q via one global kd-tree disk query.
 //
 // Both structures answer exactly; the partition-tree machinery of the
-// paper is replaced by practical equivalents per DESIGN.md §5.
+// paper is replaced by practical equivalents: the envelope of
+// internal/awvd and the kd-tree of internal/diskindex for disks, hull
+// scans and one kd-tree for discrete locations (ARCHITECTURE.md,
+// "Layer 0" and "Layer 1").
 package nnq
 
 import (

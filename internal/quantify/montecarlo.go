@@ -19,7 +19,7 @@ import (
 //
 // The paper stores each round as a Voronoi diagram with a point-location
 // structure; the kd-tree used here answers the same NN query in the same
-// logarithmic expected time (DESIGN.md §5).
+// logarithmic expected time.
 type MonteCarlo struct {
 	n      int
 	rounds []*kdtree.Tree

@@ -1,6 +1,9 @@
 package pnn
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Metric selects the distance function of the query engine.
 type Metric int
@@ -61,7 +64,8 @@ const (
 
 // Quantifier selects the engine computing quantification probabilities
 // π_i(q). Construct one with Exact, MonteCarlo, MonteCarloBudget,
-// SpiralSearch, or VPrDiagram.
+// SpiralSearch, or VPrDiagram; New and NewDynamic reject parameters
+// outside the documented ranges with ErrInvalidParam.
 type Quantifier struct {
 	kind                   quantKind
 	eps, delta             float64
@@ -79,20 +83,23 @@ func Exact() Quantifier { return Quantifier{kind: quantExact} }
 // MonteCarlo estimates π_i(q) from preprocessed random instantiations
 // with additive error at most eps for every query, with probability at
 // least 1−delta (Theorems 4.3 and 4.5). The round count follows the
-// theorems; use MonteCarloBudget for an explicit budget.
+// theorems; use MonteCarloBudget for an explicit budget. eps and delta
+// must lie in (0, 1).
 func MonteCarlo(eps, delta float64) Quantifier {
 	return Quantifier{kind: quantMonteCarlo, eps: eps, delta: delta}
 }
 
 // MonteCarloBudget estimates π_i(q) from an explicit number of
-// preprocessed rounds; the error scales as sqrt(log/rounds).
+// preprocessed rounds (at least 1); the error scales as
+// sqrt(log/rounds).
 func MonteCarloBudget(rounds int) Quantifier {
 	return Quantifier{kind: quantMonteCarloBudget, rounds: rounds}
 }
 
 // SpiralSearch approximates π_i(q) deterministically with one-sided
 // additive error: π̂_i ≤ π_i ≤ π̂_i + eps (Theorem 4.7). Continuous
-// points are first discretized (Lemma 4.4; see WithSpiralSamples).
+// points are first discretized (Lemma 4.4; see WithSpiralSamples). eps
+// must lie in (0, 1).
 func SpiralSearch(eps float64) Quantifier {
 	return Quantifier{kind: quantSpiral, eps: eps}
 }
@@ -122,14 +129,36 @@ type config struct {
 	spiralSamples int
 }
 
-func defaultConfig() config {
-	return config{
+// newConfig applies opts over the defaults and rejects quantifier
+// parameters outside their domain — the one check New and NewDynamic
+// share, so no engine build ever sees them.
+func newConfig(opts []Option) (config, error) {
+	cfg := config{
 		backend:       BackendIndex,
 		quant:         Exact(),
 		seed:          1,
 		panels:        512,
 		spiralSamples: 500,
 	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg, cfg.quant.validate()
+}
+
+// validate reports ErrInvalidParam unless eps and delta lie in (0, 1)
+// and rounds ≥ 1, for the quantifiers that use them.
+func (q Quantifier) validate() error {
+	inUnit := func(v float64) bool { return v > 0 && v < 1 } // false for NaN
+	switch {
+	case q.kind == quantMonteCarlo && !(inUnit(q.eps) && inUnit(q.delta)):
+		return fmt.Errorf("pnn: MonteCarlo eps and delta must be in (0, 1), got %g and %g: %w", q.eps, q.delta, ErrInvalidParam)
+	case q.kind == quantMonteCarloBudget && q.rounds < 1:
+		return fmt.Errorf("pnn: MonteCarloBudget rounds must be at least 1, got %d: %w", q.rounds, ErrInvalidParam)
+	case q.kind == quantSpiral && !inUnit(q.eps):
+		return fmt.Errorf("pnn: SpiralSearch eps must be in (0, 1), got %g: %w", q.eps, ErrInvalidParam)
+	}
+	return nil
 }
 
 // WithMetric fixes the metric. It must match the data kind: L2 for disk

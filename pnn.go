@@ -113,18 +113,6 @@ func NewContinuousSet(points []DiskPoint) (*ContinuousSet, error) {
 // Len returns the number of uncertain points.
 func (s *ContinuousSet) Len() int { return len(s.points) }
 
-// NonzeroAt returns NN≠0(q) by direct evaluation of Lemma 2.1 in O(n).
-//
-// Deprecated: query through the Index facade: New(set, WithNonzeroBackend(BackendDirect)).
-func (s *ContinuousSet) NonzeroAt(q Point) []int {
-	return core.NonzeroSet(s.disks, toGeom(q))
-}
-
-// nonzeroAtInto is NonzeroAt appending into dst (reused from its start).
-func (s *ContinuousSet) nonzeroAtInto(q Point, dst []int) []int {
-	return core.NonzeroSetInto(s.disks, toGeom(q), dst)
-}
-
 // DiscreteSet is a collection of discrete uncertain points.
 type DiscreteSet struct {
 	points []DiscretePoint
@@ -178,16 +166,4 @@ func (s *DiscreteSet) Spread() float64 {
 		return 1
 	}
 	return hi / lo
-}
-
-// NonzeroAt returns NN≠0(q) by direct evaluation in O(nk).
-//
-// Deprecated: query through the Index facade: New(set, WithNonzeroBackend(BackendDirect)).
-func (s *DiscreteSet) NonzeroAt(q Point) []int {
-	return core.NonzeroSetDiscrete(s.sups, toGeom(q))
-}
-
-// nonzeroAtInto is NonzeroAt appending into dst (reused from its start).
-func (s *DiscreteSet) nonzeroAtInto(q Point, dst []int) []int {
-	return core.NonzeroSetDiscreteInto(s.sups, toGeom(q), dst)
 }

@@ -3,7 +3,12 @@ package pnn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"pnn/internal/core"
+	"pnn/internal/geom"
+	"pnn/internal/quantify"
 )
 
 func randomDiskPoints(r *rand.Rand, n int) []DiskPoint {
@@ -62,54 +67,55 @@ func TestNewSetValidation(t *testing.T) {
 	}
 }
 
+// mustNew builds a facade index or fails the test.
+func mustNew(t testing.TB, set UncertainSet, opts ...Option) *Index {
+	t.Helper()
+	idx, err := New(set, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
 func TestPublicContinuousPipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	set, err := NewContinuousSet(randomDiskPoints(r, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	diag := set.BuildDiagram()
-	ix := set.NewNonzeroIndex()
-	st := diag.Stats()
-	if st.Vertices != st.Breakpoints+st.Crossings {
-		t.Fatal("stats must partition")
-	}
-	agree := 0
+	diag := mustNew(t, set, WithNonzeroBackend(BackendDiagram))
+	ix := mustNew(t, set)
 	for probe := 0; probe < 200; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
-		brute := set.NonzeroAt(q)
-		viaIx := ix.Query(q)
-		if equalIntsPNN(brute, viaIx) {
-			agree++
-		}
+		brute := core.NonzeroSet(set.disks, toGeom(q))
 		// Diagram queries may differ on flattening-tolerance boundaries;
 		// require the fast index to match brute exactly.
-		if !equalIntsPNN(brute, viaIx) {
+		if viaIx, _ := ix.Nonzero(q); !reflect.DeepEqual(brute, viaIx) {
 			t.Fatalf("index disagrees with brute at %v: %v vs %v", q, viaIx, brute)
 		}
-		_ = diag.Query(q)
-	}
-	if agree != 200 {
-		t.Fatalf("agreement %d/200", agree)
+		if _, err := diag.Nonzero(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestPublicDiscretePipeline(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
+	src := rand.NewSource(2)
+	r := rand.New(src)
 	set, err := NewDiscreteSet(randomDiscretePoints(r, 8, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := set.NewNonzeroIndex()
+	ix := mustNew(t, set)
 	for probe := 0; probe < 100; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
-		if !equalIntsPNN(set.NonzeroAt(q), ix.Query(q)) {
+		if got, _ := ix.Nonzero(q); !reflect.DeepEqual(got, core.NonzeroSetDiscrete(set.sups, toGeom(q))) {
 			t.Fatalf("discrete index disagrees at %v", q)
 		}
 	}
 	// Probabilities: exact vs spiral vs Monte Carlo.
 	q := Pt(50, 50)
-	exact := set.ExactProbabilities(q)
+	exact, _ := ix.Probabilities(q)
 	sum := 0.0
 	for _, p := range exact {
 		sum += p
@@ -117,16 +123,14 @@ func TestPublicDiscretePipeline(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("Σπ = %v", sum)
 	}
-	sp := set.NewSpiral()
 	eps := 0.05
-	approx := sp.Estimate(q, eps)
+	approx, _ := mustNew(t, set, WithQuantifier(SpiralSearch(eps))).Probabilities(q)
 	for i := range exact {
 		if approx[i] > exact[i]+1e-9 || exact[i] > approx[i]+eps+1e-9 {
 			t.Fatalf("spiral bound violated at %d: %v vs %v", i, approx[i], exact[i])
 		}
 	}
-	mc := set.NewMonteCarloRounds(3000, r)
-	est := mc.Estimate(q)
+	est, _ := mustNew(t, set, WithQuantifier(MonteCarloBudget(3000)), WithRandSource(src)).Probabilities(q)
 	for i := range exact {
 		if math.Abs(est[i]-exact[i]) > 0.05 {
 			t.Fatalf("MC estimate off at %d: %v vs %v", i, est[i], exact[i])
@@ -140,15 +144,16 @@ func TestPublicVPr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := set.NewVPr(-10, -10, 110, 110)
-	if v.Faces() < 2 {
-		t.Fatalf("faces %d", v.Faces())
+	box := geom.BBox{MinX: -10, MinY: -10, MaxX: 110, MaxY: 110}
+	if f := quantify.NewVPr(set.dists, box).Faces(); f < 2 {
+		t.Fatalf("faces %d", f)
 	}
+	v := mustNew(t, set, WithQuantifier(VPrDiagram(box.MinX, box.MinY, box.MaxX, box.MaxY)))
 	mismatches := 0
 	for probe := 0; probe < 100; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
-		got := v.Query(q)
-		want := set.ExactProbabilities(q)
+		got, _ := v.Probabilities(q)
+		want := quantify.ExactAll(set.dists, toGeom(q))
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-9 {
 				mismatches++
@@ -167,30 +172,16 @@ func TestPublicDiscreteDiagram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diag := set.BuildDiagram()
+	diag := mustNew(t, set, WithNonzeroBackend(BackendDiagram))
 	errors := 0
 	for probe := 0; probe < 100; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
-		if !equalIntsPNN(diag.Query(q), set.NonzeroAt(q)) {
+		if got, _ := diag.Nonzero(q); !equalIntsPNN(got, core.NonzeroSetDiscrete(set.sups, toGeom(q))) {
 			errors++
 		}
 	}
 	if errors > 3 {
 		t.Fatalf("diagram disagrees on %d/100 queries", errors)
-	}
-}
-
-func TestComplexityOnlyOption(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	set, _ := NewContinuousSet(randomDiskPoints(r, 8))
-	diag := set.BuildDiagram(ComplexityOnly())
-	if diag.Stats().Faces != 0 {
-		t.Fatal("complexity-only diagram must not build faces")
-	}
-	// Query still answers via fallback.
-	q := Pt(50, 50)
-	if !equalIntsPNN(diag.Query(q), set.NonzeroAt(q)) {
-		t.Fatal("fallback query mismatch")
 	}
 }
 
@@ -202,7 +193,7 @@ func TestGaussianDiskPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi := set.IntegrateProbabilities(Pt(5, 0), 256)
+	pi, _ := mustNew(t, set, WithIntegrationPanels(256)).Probabilities(Pt(5, 0))
 	if math.Abs(pi[0]+pi[1]-1) > 1e-2 {
 		t.Fatalf("Σπ = %v", pi[0]+pi[1])
 	}
@@ -222,8 +213,7 @@ func TestSpreadAndRetrievalSize(t *testing.T) {
 	if got := set.Spread(); math.Abs(got-4) > 1e-12 {
 		t.Fatalf("spread %v", got)
 	}
-	sp := set.NewSpiral()
-	if sp.RetrievalSize(0.1) < 2 {
+	if quantify.NewSpiral(set.dists).M(0.1) < 2 {
 		t.Fatal("retrieval size too small")
 	}
 }
