@@ -43,8 +43,7 @@ func (ix *Index) QueryBatch(ctx context.Context, qs []Point, workers int) ([]Res
 
 // Op selects the query method of one batched Request — the facade's
 // method surface as data, so callers that merge heterogeneous query
-// streams (a server coalescing concurrent HTTP requests, say) can
-// dispatch a mixed batch through one QueryBatchOps call.
+// streams can dispatch a mixed batch through one QueryBatchOps call.
 type Op int
 
 // Batchable query methods.
@@ -151,12 +150,19 @@ func (ix *Index) applyOp(r Request) OpResult {
 
 // runPool fans fn(i) for i in [0, n) over a bounded worker pool,
 // stopping early (with work possibly undone) once ctx is cancelled.
+// A pool of one runs inline on the caller's goroutine.
 func runPool(ctx context.Context, n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
+	}
+	if workers == 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
+		}
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -24,7 +24,7 @@
 //
 //	pnnload -target http://localhost:8080 -grid sweep.json -out /tmp/bench -csv grid.csv
 //
-// Server-side sweeps (coalescing window, cache size, replica count)
+// Server-side sweeps (cache on/off, replica count)
 // need a server restart per cell; scripts/experiments.sh wraps this
 // binary for those.
 package main

@@ -468,7 +468,7 @@ func TestIntoVariants(t *testing.T) {
 
 // TestQueryBatchOpsSparseConsistency: the batch surface dispatches to the
 // same sparse implementations, so a mixed batch must be byte-identical
-// to sequential facade calls (the server's coalescing relies on this).
+// to sequential facade calls (the server answers every read through it).
 func TestQueryBatchOpsSparseConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	set, err := NewDiscreteSet(randomDiscretePoints(r, 20, 3))

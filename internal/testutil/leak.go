@@ -1,10 +1,9 @@
 // Package testutil holds dependency-free helpers shared by the
 // serving-stack test packages. Its only current export is the
 // goroutine-leak gate the server, store, and shard TestMains run
-// through: a test that leaves a goroutine behind (an unretired
-// batcher, an engine build nobody waits for, a store sync loop
-// surviving Close) fails the whole package instead of poisoning
-// whichever test happens to run next.
+// through: a test that leaves a goroutine behind (an engine build
+// nobody waits for, a store sync loop surviving Close) fails the whole
+// package instead of poisoning whichever test happens to run next.
 package testutil
 
 import (

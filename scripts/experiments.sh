@@ -8,10 +8,10 @@
 #   ./scripts/experiments.sh                 # default sweep, ~1 min
 #   EXP_OUT=results EXP_DURATION=10s ./scripts/experiments.sh
 #
-# Server-side axes swept here: the batch coalescing window and the
-# result cache — the two knobs PR 3's measurements showed dominate
-# tail latency under skewed load. Client-side axes live in the grid
-# spec below (QPS × point-skew); edit or extend either list freely.
+# Server-side axis swept here: the result cache, on or off — the knob
+# that dominates tail latency under skewed load. Client-side axes live
+# in the grid spec below (QPS × point-skew); edit or extend either list
+# freely.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -55,21 +55,17 @@ cat > "$grid" <<EOF
 }
 EOF
 
-# Server-side sweep cells: "<batch-window> <cache-entries>".
-server_cells=(
-  "0s 0"
-  "2ms 4096"
-)
+# Server-side sweep cells: result-cache entries (0 disables the cache).
+server_cells=(0 4096)
 
 csvs=()
-for cell in "${server_cells[@]}"; do
-  read -r window cache <<< "$cell"
-  tag="bw${window}-cache${cache}"
-  echo "== server config: batch-window=$window cache=$cache"
+for cache in "${server_cells[@]}"; do
+  tag="cache${cache}"
+  echo "== server config: cache=$cache"
   "$workdir/pnnserve" \
     -addr "127.0.0.1:$port" \
     -data "demo=$workdir/demo.json" \
-    -batch-window "$window" -cache "$cache" -log-level off &
+    -cache "$cache" -log-level off &
   server_pid=$!
   wait_healthy
 

@@ -16,11 +16,11 @@ import (
 // handleBatch serves POST /v1/batch: a heterogeneous batch of query
 // items, possibly spanning datasets and engine configurations. Items
 // run through the same answer core as the single-query endpoints —
-// same result cache, same lazy engines, same coalescing batchers — so
-// each item's Body is byte-identical to the corresponding single-query
-// response and per-item errors carry the same api codes. Items are
-// answered concurrently (coalescing merges same-engine items into one
-// QueryBatchOps call) and results come back in request order.
+// same result cache, same lazy engines — so each item's Body is
+// byte-identical to the corresponding single-query response and
+// per-item errors carry the same api codes. Items are answered
+// concurrently by a small worker pool and results come back in request
+// order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	breq, status, err := api.DecodeBatchRequest(w, r)
 	if err != nil {

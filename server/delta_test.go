@@ -89,7 +89,7 @@ func assertMatchesStatic(t *testing.T, hs *httptest.Server, st *store.Store, nam
 	if err := reg.Add(name, set); err != nil {
 		t.Fatalf("%s: oracle registry: %v", step, err)
 	}
-	oracle := New(reg, Config{BatchWindow: -1})
+	oracle := New(reg, Config{})
 	ohs := httptest.NewServer(oracle.Handler())
 	defer func() { ohs.Close(); oracle.Close() }()
 	for _, op := range api.Ops {
@@ -118,7 +118,7 @@ func assertMatchesStatic(t *testing.T, hs *httptest.Server, st *store.Store, nam
 
 func deltaEquivalence(t *testing.T, kind, qs string) {
 	const name = "prop"
-	srv, hs, st := storeServer(t, Config{BatchWindow: -1})
+	srv, hs, st := storeServer(t, Config{})
 	mustMutate(t, hs, http.MethodPut, "/v1/datasets/"+name, api.CreateDataset{Kind: kind})
 
 	rng := rand.New(rand.NewSource(7))
@@ -188,7 +188,7 @@ func assertFallbacks(t *testing.T, hs *httptest.Server, want map[string]uint64) 
 // rather than counting a tail gap, and a recreate under the other kind
 // loads a name the registry no longer holds.
 func TestDropCountsNoFallback(t *testing.T) {
-	_, hs, _ := storeServer(t, Config{BatchWindow: -1})
+	_, hs, _ := storeServer(t, Config{})
 	mustMutate(t, hs, http.MethodPut, "/v1/datasets/a", api.CreateDataset{Kind: "discrete"})
 	ack := mustMutate(t, hs, http.MethodPost, "/v1/datasets/a/points", api.InsertPoints{
 		Discrete: []api.DiscretePointJSON{{X: []float64{1}, Y: []float64{2}}, {X: []float64{3}, Y: []float64{4}}},
@@ -219,7 +219,7 @@ func randomStorePoints(rng *rand.Rand, kind string, n int) []store.Point {
 // static index.
 func TestResetOnTailGap(t *testing.T) {
 	ctx := context.Background()
-	_, hs, st := storeServer(t, Config{BatchWindow: -1})
+	_, hs, st := storeServer(t, Config{})
 	rng := rand.New(rand.NewSource(3))
 	mustMutate(t, hs, http.MethodPut, "/v1/datasets/g", api.CreateDataset{Kind: "discrete"})
 	mustMutate(t, hs, http.MethodPost, "/v1/datasets/g/points", randomInsert(rng, "discrete", 3))
@@ -240,7 +240,7 @@ func TestResetOnTailGap(t *testing.T) {
 // and counts one kind_change.
 func TestResetOnKindChange(t *testing.T) {
 	ctx := context.Background()
-	srv, hs, st := storeServer(t, Config{BatchWindow: -1})
+	srv, hs, st := storeServer(t, Config{})
 	rng := rand.New(rand.NewSource(5))
 	mustMutate(t, hs, http.MethodPut, "/v1/datasets/k", api.CreateDataset{Kind: "discrete"})
 	mustMutate(t, hs, http.MethodPost, "/v1/datasets/k/points", randomInsert(rng, "discrete", 4))
@@ -277,7 +277,7 @@ func TestResetOnKindChange(t *testing.T) {
 // its own tombstones), with no fallback and unchanged answers.
 func TestDeleteHeavyDeltaApplies(t *testing.T) {
 	ctx := context.Background()
-	srv, hs, st := storeServer(t, Config{BatchWindow: -1})
+	srv, hs, st := storeServer(t, Config{})
 	rng := rand.New(rand.NewSource(9))
 	mustMutate(t, hs, http.MethodPut, "/v1/datasets/h", api.CreateDataset{Kind: "disks"})
 	ids := mustMutate(t, hs, http.MethodPost, "/v1/datasets/h/points", randomInsert(rng, "disks", 20)).IDs

@@ -6,15 +6,16 @@
 //
 // A request flows through four stages:
 //
-//	parse → result cache → lazy engine registry → coalescing batcher
+//	parse → result cache → lazy engine registry → engine call
 //
 // Each (dataset, backend, quantifier) engine is built lazily on first
-// use and kept for the life of the server. A coalescing Batcher merges
-// concurrent single-query requests against one engine into a single
-// pnn.Index.QueryBatchOps call, and a segmented (2Q-style) cache
-// replays encoded responses for repeated hot queries. Because responses are cached and
-// replayed as encoded bytes, a cached answer is byte-identical to a
-// freshly computed one (see pnn/api for the wire-format guarantees).
+// use and kept for the life of the server. Every read runs its engine
+// call on the request's own goroutine under the request's context, so
+// a caller that times out or goes away stops the work, and a segmented
+// (2Q-style) cache replays encoded responses for repeated hot queries.
+// Because responses are cached and replayed as encoded bytes, a cached
+// answer is byte-identical to a freshly computed one (see pnn/api for
+// the wire-format guarantees).
 //
 // # Endpoints
 //
@@ -53,9 +54,9 @@
 // dataset's live engines in place from the store's op tail. Engines
 // that cannot absorb it (backend=diagram), and every engine of a
 // dataset whose entry is reset (the registry fell behind the op tail,
-// or the name was recreated under another kind), are retired: old
-// batchers drain gracefully while queued queries retry against engines
-// rebuilt lazily from the store.
+// or the name was recreated under another kind), are retired: queries
+// already running on them finish there, and later queries run on
+// engines rebuilt lazily from the store.
 // Queries against a created-but-empty dataset answer 409
 // api.CodeEmptyDataset.
 //

@@ -20,12 +20,6 @@ import (
 	"pnn/store"
 )
 
-// Querier is the batch query surface shared by pnn.Index,
-// pnn.DynamicIndex, and every Engine — all a coalescing batcher needs.
-type Querier interface {
-	QueryBatchOps(ctx context.Context, reqs []pnn.Request, workers int) ([]pnn.OpResult, error)
-}
-
 // ErrRebuildRequired reports a delta the engine cannot fold in place;
 // the caller must rebuild a fresh engine from the authoritative store
 // state instead.
@@ -43,7 +37,9 @@ type Cost struct {
 
 // Engine is one live query structure over a dataset.
 type Engine interface {
-	Querier
+	// QueryBatchOps answers a heterogeneous batch with the semantics of
+	// pnn.Index.QueryBatchOps.
+	QueryBatchOps(ctx context.Context, reqs []pnn.Request, workers int) ([]pnn.OpResult, error)
 	// Len returns the current live point count.
 	Len() int
 	// Eps returns the additive accuracy of the configured quantifier
@@ -67,7 +63,7 @@ type Static struct {
 // NewStatic wraps a built static index.
 func NewStatic(ix *pnn.Index) *Static { return &Static{ix: ix} }
 
-// QueryBatchOps implements Querier.
+// QueryBatchOps implements Engine.
 func (s *Static) QueryBatchOps(ctx context.Context, reqs []pnn.Request, workers int) ([]pnn.OpResult, error) {
 	return s.ix.QueryBatchOps(ctx, reqs, workers)
 }
@@ -151,7 +147,7 @@ func (e *Dynamic) insertLocked(id uint64, p store.Point) error {
 	return nil
 }
 
-// QueryBatchOps implements Querier.
+// QueryBatchOps implements Engine.
 func (e *Dynamic) QueryBatchOps(ctx context.Context, reqs []pnn.Request, workers int) ([]pnn.OpResult, error) {
 	return e.dyn.QueryBatchOps(ctx, reqs, workers)
 }

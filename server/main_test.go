@@ -8,8 +8,8 @@ import (
 )
 
 // TestMain gates the package on goroutine hygiene: a test that leaves
-// a batcher, cache janitor, or engine build running after teardown
-// fails the run instead of poisoning its neighbors.
+// a cache janitor or engine build running after teardown fails the run
+// instead of poisoning its neighbors.
 func TestMain(m *testing.M) {
 	os.Exit(testutil.VerifyNoLeaks(m.Run))
 }

@@ -14,10 +14,7 @@ type Metrics struct {
 	errors      *obs.CounterVec // pnn_errors_total{code=}
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
-	batches     *obs.Counter
-	batchedReqs *obs.Counter
 	indexBuilds *obs.Counter
-	flushes     *obs.CounterVec // pnn_batch_flushes_total{reason=}
 	// deltaApplied counts refreshes served by the in-place delta write
 	// path; deltaFallbacks the refreshes that reset the dataset's entry
 	// instead, by reason ("tail_gap", "kind_change") — together they
@@ -28,20 +25,17 @@ type Metrics struct {
 	// reqLatency is the per-endpoint end-to-end latency; dsLatency the
 	// same by dataset (only datasets the registry resolves, so the
 	// label cardinality is bounded by hosted datasets, not client
-	// input); stages decomposes the answer core (cache probe, batcher
-	// queue wait, engine build, engine execute, JSON encode); batchSizes
-	// the coalesced flush sizes.
+	// input); stages decomposes the answer core (cache probe, engine
+	// build, engine execute, JSON encode); execute splits the execute
+	// stage by op kind (labels from api.Ops).
 	reqLatency *obs.HistogramVec // pnn_request_duration_seconds{endpoint=}
 	dsLatency  *obs.HistogramVec // pnn_dataset_duration_seconds{dataset=}
 	stages     *obs.HistogramVec // pnn_stage_duration_seconds{stage=}
-	batchSizes *obs.Histogram    // pnn_batch_size
-	// Contention telemetry: queueWait decomposes batcher queueing per
-	// dataset (the aggregate lives in stages{stage="queue"}), lockWait
-	// the time mutations block on the per-dataset refresh lock, and
-	// deltaApply the in-place delta fold. Labels are dataset names the
-	// registry resolves, so cardinality stays bounded by hosted
-	// datasets.
-	queueWait  *obs.HistogramVec // pnn_queue_wait_seconds{dataset=}
+	execute    *obs.HistogramVec // pnn_execute_duration_seconds{op=}
+	// Contention telemetry: lockWait is the time mutations block on the
+	// per-dataset refresh lock (labels are dataset names the registry
+	// resolves, so cardinality stays bounded by hosted datasets), and
+	// deltaApply the in-place delta fold.
 	lockWait   *obs.HistogramVec // pnn_lock_wait_seconds{dataset=}
 	deltaApply *obs.Histogram    // pnn_delta_apply_duration_seconds
 }
@@ -54,17 +48,13 @@ func newMetrics() *Metrics {
 		errors:         reg.NewCounterVec("pnn_errors_total", "code"),
 		cacheHits:      reg.NewCounter("pnn_cache_hits_total"),
 		cacheMisses:    reg.NewCounter("pnn_cache_misses_total"),
-		batches:        reg.NewCounter("pnn_batches_total"),
-		batchedReqs:    reg.NewCounter("pnn_batched_requests_total"),
 		indexBuilds:    reg.NewCounter("pnn_index_builds_total"),
-		flushes:        reg.NewCounterVec("pnn_batch_flushes_total", "reason"),
 		deltaApplied:   reg.NewCounter("pnn_delta_applied_total"),
 		deltaFallbacks: reg.NewCounterVec("pnn_delta_fallback_total", "reason"),
 		reqLatency:     reg.NewHistogramVec("pnn_request_duration_seconds", "endpoint", obs.DurationBuckets),
 		dsLatency:      reg.NewHistogramVec("pnn_dataset_duration_seconds", "dataset", obs.DurationBuckets),
 		stages:         reg.NewHistogramVec("pnn_stage_duration_seconds", "stage", obs.DurationBuckets),
-		batchSizes:     reg.NewHistogram("pnn_batch_size", obs.SizeBuckets),
-		queueWait:      reg.NewHistogramVec("pnn_queue_wait_seconds", "dataset", obs.DurationBuckets),
+		execute:        reg.NewHistogramVec("pnn_execute_duration_seconds", "op", obs.DurationBuckets),
 		lockWait:       reg.NewHistogramVec("pnn_lock_wait_seconds", "dataset", obs.DurationBuckets),
 		deltaApply:     reg.NewHistogram("pnn_delta_apply_duration_seconds", obs.DurationBuckets),
 	}
@@ -74,30 +64,17 @@ func newMetrics() *Metrics {
 // can mount extra collectors onto the same /metrics page.
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
-func (m *Metrics) flush(size int, reason string) {
-	m.batches.Inc()
-	m.batchedReqs.Add(uint64(size))
-	m.flushes.Inc(reason)
-	m.batchSizes.Observe(float64(size))
-}
-
 // Snapshot is a point-in-time copy of the counters, for tests and
 // introspection.
 type Snapshot struct {
 	// CacheHits and CacheMisses count result-cache probes.
 	CacheHits, CacheMisses uint64
-	// Batches counts flushed coalesced batches; BatchedReqs the
-	// requests they carried.
-	Batches, BatchedReqs uint64
 	// IndexBuilds counts lazily built engines; Errors the failed
 	// requests (non-2xx responses and failed batch items), across all
 	// codes.
 	IndexBuilds, Errors uint64
 	// Requests counts requests per endpoint name.
 	Requests map[string]uint64
-	// Flushes counts batch flushes per reason ("full", "window",
-	// "immediate", "close").
-	Flushes map[string]uint64
 	// ErrorsByCode counts failures per stable api code.
 	ErrorsByCode map[string]uint64
 }
@@ -107,12 +84,9 @@ func (m *Metrics) Snapshot() Snapshot {
 	return Snapshot{
 		CacheHits:    m.cacheHits.Value(),
 		CacheMisses:  m.cacheMisses.Value(),
-		Batches:      m.batches.Value(),
-		BatchedReqs:  m.batchedReqs.Value(),
 		IndexBuilds:  m.indexBuilds.Value(),
 		Errors:       m.errors.Total(),
 		Requests:     m.requests.Values(),
-		Flushes:      m.flushes.Values(),
 		ErrorsByCode: m.errors.Values(),
 	}
 }

@@ -20,7 +20,7 @@ import (
 // series, cumulative sorted histogram buckets.
 func TestMetricsExposition(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -65,11 +65,46 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestExecuteHistogramPerOp: each request's engine time lands in the
+// series of its own op kind, alongside the aggregate execute stage.
+func TestExecuteHistogramPerOp(t *testing.T) {
+	reg, _ := testRegistry(t)
+	srv := New(reg, Config{})
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	for _, path := range []string{
+		"/v1/nonzero?dataset=fleet&x=1&y=2",
+		"/v1/probabilities?dataset=fleet&x=1&y=2",
+	} {
+		if status, _, body := getBody(t, hs, path); status != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, status, body)
+		}
+	}
+	_, _, body := getBody(t, hs, "/metrics")
+	page := string(body)
+	for _, want := range []string{
+		`pnn_execute_duration_seconds_count{op="nonzero"} 1`,
+		`pnn_execute_duration_seconds_count{op="probabilities"} 1`,
+		`pnn_stage_duration_seconds_count{stage="execute"} 2`,
+	} {
+		if !strings.Contains(page, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	for _, op := range []string{"topk", "threshold", "expectednn"} {
+		if strings.Contains(page, `pnn_execute_duration_seconds_count{op="`+op+`"}`) {
+			t.Errorf("/metrics has an execute series for unused op %q", op)
+		}
+	}
+}
+
 // TestRequestIDEcho: a request without an ID gets one minted and
 // echoed; a supplied ID is preserved; error bodies carry it.
 func TestRequestIDEcho(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -107,7 +142,7 @@ func TestRequestIDEcho(t *testing.T) {
 // both labeled by wire code.
 func TestErrorAccounting(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -160,7 +195,7 @@ func TestErrorAccounting(t *testing.T) {
 // percentiles per endpoint.
 func TestDebugObs(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -190,7 +225,7 @@ func TestDebugObs(t *testing.T) {
 // pnn_cache_entries gauge and as cache_entries in /debug/obs.
 func TestCacheEntriesObservable(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -224,7 +259,7 @@ func TestRequestLogging(t *testing.T) {
 	var buf bytes.Buffer
 	mu := &syncWriter{w: &buf}
 	logger := slog.New(slog.NewJSONHandler(mu, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	srv := New(reg, Config{BatchWindow: -1, Logger: logger, SlowQueryThreshold: -1})
+	srv := New(reg, Config{Logger: logger, SlowQueryThreshold: -1})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -265,7 +300,7 @@ func TestRequestLogging(t *testing.T) {
 
 	// With a tiny threshold every request is slow: level promotes to WARN.
 	buf.Reset()
-	srvSlow := New(reg, Config{BatchWindow: -1, Logger: logger, SlowQueryThreshold: 1})
+	srvSlow := New(reg, Config{Logger: logger, SlowQueryThreshold: 1})
 	defer srvSlow.Close()
 	hsSlow := httptest.NewServer(srvSlow.Handler())
 	defer hsSlow.Close()

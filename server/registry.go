@@ -16,7 +16,7 @@ import (
 
 // IndexKey identifies one engine configuration of a dataset: the NN≠0
 // backend plus the quantifier and its parameters. Two requests with the
-// same key share one lazily built pnn.Index and one batcher.
+// same key share one lazily built engine.
 type IndexKey struct {
 	// Backend is "index", "direct", or "diagram".
 	Backend string
@@ -93,13 +93,12 @@ type Dataset struct {
 	entries map[IndexKey]*indexEntry
 }
 
-// indexEntry builds one (engine, batcher) pair exactly once;
-// concurrent first users block on the build and share the result.
+// indexEntry builds one engine exactly once; concurrent first users
+// block on the build and share the result.
 type indexEntry struct {
-	once    sync.Once
-	eng     engine.Engine
-	err     error
-	batcher *Batcher
+	once sync.Once
+	eng  engine.Engine
+	err  error
 	// built flips true once the build has completed successfully; it is
 	// the synchronization point letting applyDelta read applied and eng
 	// without joining the once.
@@ -138,28 +137,6 @@ func (d *Dataset) Stats() (int, uint64) {
 // Durable reports whether the dataset is store-backed (mutable).
 func (d *Dataset) Durable() bool { return d.durable }
 
-// QueueDepth sums the requests queued in the dataset's batchers —
-// the live backpressure signal behind the pnn_queue_depth gauge.
-// Only published builds are consulted (built.Load is the
-// synchronization point for reading e.batcher without joining the
-// once), and the batchers are polled outside d.mu so a scrape never
-// contends with the serving path's lock ordering.
-func (d *Dataset) QueueDepth() int {
-	d.mu.Lock()
-	entries := make([]*indexEntry, 0, len(d.entries))
-	for _, e := range d.entries {
-		entries = append(entries, e)
-	}
-	d.mu.Unlock()
-	depth := 0
-	for _, e := range entries {
-		if e.built.Load() && e.batcher != nil {
-			depth += e.batcher.Depth()
-		}
-	}
-	return depth
-}
-
 // Indexes returns the number of engines built (or building) for the
 // current version.
 func (d *Dataset) Indexes() int {
@@ -169,56 +146,44 @@ func (d *Dataset) Indexes() int {
 }
 
 // reset moves the dataset to a newer store state (n points at
-// version) and retires every engine: their batchers are closed in the
-// background (pending coalesced requests flush, then further submits
-// fail and the callers retry against engines rebuilt lazily from the
-// store). Stale resets (version not newer) are ignored, so concurrent
+// version) and retires every engine: queries already holding one
+// finish on it, and later queries build fresh engines lazily from the
+// store. Stale resets (version not newer) are ignored, so concurrent
 // resets can land in any order.
 func (d *Dataset) reset(n int, version uint64) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if version <= d.version {
-		d.mu.Unlock()
 		return
 	}
-	old := d.entries
 	d.n = n
 	d.version = version
 	d.entries = make(map[IndexKey]*indexEntry)
-	d.mu.Unlock()
-	go closeEntries(old)
 }
 
 // applyDelta folds committed mutations into the dataset's live engines
-// and bumps the version in place — no generation swap, so batchers
-// keep draining and caches key naturally off the new version. Engines
-// that cannot absorb the delta are retired individually and rebuilt
-// lazily on their next query: static engines (Apply demands a
-// rebuild), builds still in flight (they read the store directly and
-// may predate these ops without being patchable), and engines whose
-// Apply failed. Per-engine `applied` filtering keeps an engine whose
-// build already read a newer store state from replaying ops twice.
-// Stale deltas (version not newer) are ignored.
+// and bumps the version in place — no generation swap, so caches key
+// naturally off the new version. Engines that cannot absorb the delta
+// are retired individually and rebuilt lazily on their next query:
+// static engines (Apply demands a rebuild), builds still in flight
+// (they read the store directly and may predate these ops without
+// being patchable), and engines whose Apply failed. Per-engine
+// `applied` filtering keeps an engine whose build already read a newer
+// store state from replaying ops twice. Stale deltas (version not
+// newer) are ignored.
 func (d *Dataset) applyDelta(version uint64, n int, ops []store.DeltaOp) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if version <= d.version {
-		d.mu.Unlock()
 		return
-	}
-	var retired map[IndexKey]*indexEntry
-	retire := func(key IndexKey, e *indexEntry) {
-		if retired == nil {
-			retired = make(map[IndexKey]*indexEntry)
-		}
-		retired[key] = e
-		delete(d.entries, key)
 	}
 	for key, e := range d.entries {
 		if !e.built.Load() {
-			retire(key, e)
+			delete(d.entries, key)
 			continue
 		}
 		if err := e.eng.Apply(opsAfter(ops, e.applied)); err != nil {
-			retire(key, e)
+			delete(d.entries, key)
 			continue
 		}
 		if version > e.applied {
@@ -227,10 +192,6 @@ func (d *Dataset) applyDelta(version uint64, n int, ops []store.DeltaOp) {
 	}
 	d.n = n
 	d.version = version
-	d.mu.Unlock()
-	if retired != nil {
-		go closeEntries(retired)
-	}
 }
 
 // opsAfter returns the suffix of ops with Seq > applied (ops are in
@@ -241,22 +202,6 @@ func opsAfter(ops []store.DeltaOp, applied uint64) []store.DeltaOp {
 		i++
 	}
 	return ops[i:]
-}
-
-// closeEntries gracefully closes every built batcher of a retired
-// engine generation, flushing pending requests. The empty once.Do
-// synchronizes with an in-flight build (entry fields are written
-// inside the entry's once): it blocks until a running build finishes,
-// or claims a not-yet-started build's slot outright — the creator's
-// own once.Do then no-ops, leaving the entry with neither error nor
-// batcher, which answer treats as one more stale-generation retry.
-func closeEntries(entries map[IndexKey]*indexEntry) {
-	for _, e := range entries {
-		e.once.Do(func() {})
-		if e.batcher != nil {
-			e.batcher.Close()
-		}
-	}
 }
 
 // ErrTooManyEngines rejects a request that would build yet another
@@ -298,7 +243,7 @@ func (d *Dataset) entry(key IndexKey, version uint64, maxEngines int, build func
 	e.once.Do(func() {
 		defer func() {
 			if r := recover(); r != nil {
-				e.eng, e.batcher = nil, nil
+				e.eng = nil
 				e.err = fmt.Errorf("server: building %s engine: panic: %v", key, r)
 			}
 		}()
@@ -322,16 +267,6 @@ func (d *Dataset) entry(key IndexKey, version uint64, maxEngines int, build func
 		d.mu.Unlock()
 	}
 	return e, nil
-}
-
-// closeBatchers gracefully closes every built batcher of the current
-// generation, flushing pending requests.
-func (d *Dataset) closeBatchers() {
-	d.mu.Lock()
-	entries := d.entries
-	d.entries = make(map[IndexKey]*indexEntry)
-	d.mu.Unlock()
-	closeEntries(entries)
 }
 
 // Registry is the server's set of named datasets. It is safe for
@@ -400,8 +335,8 @@ func (r *Registry) Upsert(info store.DatasetInfo) {
 	d := r.datasets[info.Name]
 	if d != nil && d.durable {
 		if d.Kind == info.Kind {
-			// reset takes d.mu only briefly (map swap; the batcher close
-			// is backgrounded), so holding r.mu across it is cheap.
+			// reset takes d.mu only briefly (a map swap), so holding
+			// r.mu across it is cheap.
 			d.reset(info.N, info.Version)
 			r.mu.Unlock()
 			return
@@ -413,9 +348,6 @@ func (r *Registry) Upsert(info store.DatasetInfo) {
 	}
 	r.datasets[info.Name] = newDurableDataset(info)
 	r.mu.Unlock()
-	if d != nil {
-		go d.closeBatchers()
-	}
 }
 
 // refreshPath names how Registry.refresh brought a dataset current;
@@ -465,19 +397,13 @@ func (r *Registry) refresh(ctx context.Context, info store.DatasetInfo, ops []st
 	return pathDelta
 }
 
-// Remove unregisters a dataset and closes its batchers in the
-// background (pending requests flush, and the close joins any
-// in-flight engine build — see closeEntries — which can take seconds;
-// the drop path must not stall on it). It reports whether the name was
-// present.
+// Remove unregisters a dataset; queries already holding one of its
+// engines finish on it. It reports whether the name was present.
 func (r *Registry) Remove(name string) bool {
 	r.mu.Lock()
-	d, ok := r.datasets[name]
+	defer r.mu.Unlock()
+	_, ok := r.datasets[name]
 	delete(r.datasets, name)
-	r.mu.Unlock()
-	if ok {
-		go d.closeBatchers()
-	}
 	return ok
 }
 

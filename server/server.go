@@ -28,18 +28,14 @@ type Config struct {
 	// caching, 0 means the default (4096). Never-hit entries are held to
 	// a quarter of it (see resultCache).
 	CacheSize int
-	// BatchWindow is how long the coalescing batcher holds the first
-	// request of a batch before flushing; < 0 disables coalescing
-	// (every request flushes immediately), 0 means the default (2ms).
+	// BatchWindow is ignored: reads run on the request goroutine and
+	// are never held back to coalesce with others.
+	//
+	// Deprecated: kept only so existing callers compile; setting it has
+	// no effect.
 	BatchWindow time.Duration
-	// BatchMaxSize flushes a batch early once it holds this many
-	// requests; 0 means the default (64).
-	BatchMaxSize int
-	// BatchWorkers is the worker count of each QueryBatchOps call;
-	// 0 means GOMAXPROCS.
-	BatchWorkers int
-	// RequestTimeout bounds each request end to end (queueing in the
-	// batcher included); 0 means the default (30s), < 0 disables.
+	// RequestTimeout bounds each request end to end (engine build
+	// included); 0 means the default (30s), < 0 disables.
 	RequestTimeout time.Duration
 	// MaxEnginesPerDataset caps how many distinct (backend, quantifier)
 	// engines one dataset may accumulate — engine keys include
@@ -85,8 +81,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		CacheSize:            4096,
-		BatchWindow:          2 * time.Millisecond,
-		BatchMaxSize:         64,
 		RequestTimeout:       30 * time.Second,
 		MaxEnginesPerDataset: 32,
 		SlowQueryThreshold:   time.Second,
@@ -101,15 +95,6 @@ func (c Config) withDefaults() Config {
 		c.CacheSize = 0
 	case c.CacheSize == 0:
 		c.CacheSize = d.CacheSize
-	}
-	switch {
-	case c.BatchWindow < 0:
-		c.BatchWindow = 0
-	case c.BatchWindow == 0:
-		c.BatchWindow = d.BatchWindow
-	}
-	if c.BatchMaxSize <= 0 {
-		c.BatchMaxSize = d.BatchMaxSize
 	}
 	switch {
 	case c.RequestTimeout < 0:
@@ -137,7 +122,7 @@ func (c Config) withDefaults() Config {
 
 // Server answers the pnn query surface over HTTP/JSON for every dataset
 // in its registry. Construct with New, mount Handler, and Close on
-// shutdown to flush in-flight batches.
+// shutdown.
 type Server struct {
 	cfg     Config
 	reg     *Registry
@@ -154,9 +139,7 @@ type Server struct {
 	// Entries are refcounted and reclaimed when idle (see lockRefresh).
 	refreshMu    sync.Mutex
 	refreshLocks map[string]*refreshLock
-	// closed distinguishes a batcher drained by Close (late queries
-	// must fail) from one drained by an engine reset (the query retries
-	// against the new generation).
+	// closed makes late uncached queries fail once Close has run.
 	closed atomic.Bool
 }
 
@@ -185,18 +168,6 @@ func New(reg *Registry, cfg Config) *Server {
 	s.metrics.reg.NewGaugeFunc("pnn_datasets", func() float64 { return float64(reg.Len()) })
 	s.metrics.reg.NewGaugeFunc("pnn_cache_entries", func() float64 { return float64(s.cache.Len()) })
 	obs.RegisterRuntimeGauges(s.metrics.reg)
-	// Queue depth is read live from the batchers at scrape time: a
-	// sustained non-zero depth under a flat execute histogram is the
-	// signature of batcher backpressure, visible without a trace.
-	s.metrics.reg.NewLabeledGaugeFunc("pnn_queue_depth", "dataset", func() map[string]float64 {
-		out := make(map[string]float64)
-		for _, name := range reg.Names() {
-			if d := reg.Get(name); d != nil {
-				out[name] = float64(d.QueueDepth())
-			}
-		}
-		return out
-	})
 	if cfg.Store != nil {
 		s.metrics.reg.Register(cfg.Store.Collectors()...)
 		for _, info := range cfg.Store.Infos() {
@@ -225,7 +196,7 @@ func New(reg *Registry, cfg Config) *Server {
 	inner := http.Handler(mux)
 	if cfg.RequestTimeout > 0 {
 		// TimeoutHandler also puts the deadline on the request context,
-		// so a request stuck queueing in the batcher is abandoned too.
+		// so the engine stops between queries once it passes.
 		// /v1/batch is exempt: its timeout budget is per item under an
 		// aggregate cap (see handleBatch/answerItem), so one slow item
 		// fails alone with CodeTimeout while its batchmates still
@@ -254,18 +225,12 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // Metrics exposes the counters (for tests and embedding servers).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Close gracefully closes every batcher: pending coalesced requests
-// are answered, then further queries fail. Call after the HTTP
-// listener has stopped accepting. The store, if any, stays open (its
-// owner closes it).
-func (s *Server) Close() {
-	s.closed.Store(true)
-	for _, name := range s.reg.Names() {
-		if d := s.reg.Get(name); d != nil {
-			d.closeBatchers()
-		}
-	}
-}
+// Close makes every later uncached query fail; cached answers keep
+// being served. Call after the HTTP listener has stopped accepting
+// (http.Server.Shutdown waits for in-flight queries, which run on
+// their handler goroutines). The store, if any, stays open (its owner
+// closes it).
+func (s *Server) Close() { s.closed.Store(true) }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, api.Health{Status: "ok", Datasets: s.reg.Len()}, "")
@@ -301,7 +266,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuery serves one facade method: parse, then the shared answer
-// core (cache probe → lazy index build → coalescing batcher → encode).
+// core (cache probe → lazy engine build → execute → encode).
 func (s *Server) handleQuery(op pnn.Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -333,17 +298,21 @@ type queryError struct {
 	err    error
 }
 
+// errServerClosed fails uncached queries that arrive after Close.
+var errServerClosed = errors.New("server: closed")
+
 // answer resolves one validated query end to end: result-cache probe,
-// lazy engine build, coalescing batcher, encode, cache fill. It is the
-// shared core of the single-query handlers and the /v1/batch items, so
-// both return byte-identical bodies and identical error codes. The
-// returned body has no trailing newline (writeRaw appends one).
+// lazy engine build, engine call, encode, cache fill. It is the shared
+// core of the single-query handlers and the /v1/batch items, so both
+// return byte-identical bodies and identical error codes. The engine
+// runs on the caller's goroutine under the caller's ctx, so a caller
+// that has gone away stops the work. The returned body has no trailing
+// newline (writeRaw appends one).
 //
 // Mutations race with queries by design: the cache key carries the
 // dataset version read together with the point count, so a stale
 // cache line can never answer a post-write query, and a query that
-// loses its engine generation mid-flight (errStaleVersion from the
-// lookup, or ErrBatcherClosed from a batcher drained by a reset)
+// loses its engine generation before the lookup (errStaleVersion)
 // retries against the new generation.
 func (s *Server) answer(ctx context.Context, op pnn.Op, p params) (body []byte, cacheStatus string, qerr *queryError) {
 	const maxSwapRetries = 4
@@ -387,53 +356,32 @@ func (s *Server) answer(ctx context.Context, op pnn.Op, p params) (body []byte, 
 		if s.closed.Load() {
 			// The cache may outlive Close and keep answering hits, but
 			// no new engine is ever built for a closed server.
-			return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, ErrBatcherClosed}
+			return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, errServerClosed}
 		}
 		entry, err := ds.entry(p.key, version, s.cfg.MaxEnginesPerDataset, func(e *indexEntry) {
 			s.buildEngine(ctx, e, ds, p.key, version)
 		})
+		if err == nil {
+			err = entry.err
+		}
 		if err != nil {
-			if errors.Is(err, errStaleVersion) {
+			switch {
+			case errors.Is(err, errStaleVersion):
+				// The dataset moved between our snapshot and the lookup,
+				// or the store moved (or dropped the dataset) before the
+				// build's authoritative read; retry.
 				lastErr = err
 				continue
-			}
-			if errors.Is(err, ErrTooManyEngines) {
+			case errors.Is(err, ErrTooManyEngines):
 				return nil, "", &queryError{http.StatusTooManyRequests, api.CodeTooManyEngines, err}
+			case errors.Is(err, pnn.ErrUnsupported):
+				return nil, "", &queryError{http.StatusBadRequest, api.CodeUnsupported, err}
 			}
 			return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, err}
 		}
-		if entry.err != nil {
-			if errors.Is(entry.err, errStaleVersion) {
-				// The store moved (or dropped the dataset) between our
-				// snapshot and the build's authoritative read; retry.
-				lastErr = entry.err
-				continue
-			}
-			if errors.Is(entry.err, pnn.ErrUnsupported) {
-				return nil, "", &queryError{http.StatusBadRequest, api.CodeUnsupported, entry.err}
-			}
-			return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, entry.err}
-		}
-		if entry.batcher == nil {
-			// Neither error nor engine: the generation was retired before
-			// our build ran, and closeEntries claimed the build slot (see
-			// closeEntries). Retry against the new generation, exactly as
-			// for a batcher drained mid-flight.
-			lastErr = ErrBatcherClosed
-			continue
-		}
-		res, err := entry.batcher.Submit(ctx, p.request(op))
+		res, err := s.execute(ctx, op, entry.eng, p.request(op))
 		if err != nil {
 			switch {
-			case errors.Is(err, ErrBatcherClosed):
-				if s.closed.Load() {
-					// Close drained the batchers for good; don't rebuild.
-					return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, err}
-				}
-				// The engine generation was swapped out by a mutation
-				// while we queued; retry against the new one.
-				lastErr = err
-				continue
 			case errors.Is(err, context.DeadlineExceeded):
 				return nil, "", &queryError{http.StatusGatewayTimeout, api.CodeTimeout, err}
 			case errors.Is(err, context.Canceled):
@@ -441,14 +389,10 @@ func (s *Server) answer(ctx context.Context, op pnn.Op, p params) (body []byte, 
 				// closed request") keeps these out of server-timeout
 				// dashboards. Nobody reads the response body.
 				return nil, "", &queryError{499, api.CodeCanceled, err}
+			case errors.Is(err, pnn.ErrUnsupported):
+				return nil, "", &queryError{http.StatusBadRequest, api.CodeUnsupported, err}
 			}
 			return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, err}
-		}
-		if res.Err != nil {
-			if errors.Is(res.Err, pnn.ErrUnsupported) {
-				return nil, "", &queryError{http.StatusBadRequest, api.CodeUnsupported, res.Err}
-			}
-			return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, res.Err}
 		}
 		encSpan := obs.LeafSpan(ctx, "encode")
 		enc := obs.StartTimer()
@@ -465,17 +409,33 @@ func (s *Server) answer(ctx context.Context, op pnn.Op, p params) (body []byte, 
 		fmt.Errorf("dataset %q is being mutated too rapidly: %w", p.dataset, lastErr)}
 }
 
-// buildEngine constructs one entry's engine and batcher. Durable
-// datasets build from an authoritative store read taken here: a
-// delta-applicable dynamic engine, except for backend=diagram, which
-// no dynamic engine can serve and which gets a static engine rebuilt
-// on every write. The store may already be ahead of the entry's label
-// version; e.applied records the version actually read, so applyDelta
-// never replays ops the build already saw. Store reads that fail or
-// disagree with the registry's kind (a concurrent drop or
-// drop+recreate) surface as errStaleVersion, which the answer loop
-// treats as one more retry. Static datasets build from their immutable
-// set.
+// execute answers one request on eng, timing it into the execute stage
+// and the per-op execute histogram. The error is ctx's when the caller
+// went away first, and the request's own failure otherwise.
+func (s *Server) execute(ctx context.Context, op pnn.Op, eng engine.Engine, req pnn.Request) (pnn.OpResult, error) {
+	span := obs.LeafSpan(ctx, "execute")
+	t := obs.StartTimer()
+	res, err := eng.QueryBatchOps(ctx, []pnn.Request{req}, 1)
+	d := t.Total()
+	span.End()
+	s.metrics.stages.With("execute").ObserveDuration(d)
+	s.metrics.execute.With(op.String()).ObserveDuration(d)
+	if err != nil {
+		return pnn.OpResult{}, err
+	}
+	return res[0], res[0].Err
+}
+
+// buildEngine constructs one entry's engine. Durable datasets build
+// from an authoritative store read taken here: a delta-applicable
+// dynamic engine, except for backend=diagram, which no dynamic engine
+// can serve and which gets a static engine rebuilt on every write. The
+// store may already be ahead of the entry's label version; e.applied
+// records the version actually read, so applyDelta never replays ops
+// the build already saw. Store reads that fail or disagree with the
+// registry's kind (a concurrent drop or drop+recreate) surface as
+// errStaleVersion, which the answer loop treats as one more retry.
+// Static datasets build from their immutable set.
 func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, key IndexKey, version uint64) {
 	opts, err := key.Options()
 	if err != nil {
@@ -525,20 +485,6 @@ func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, ke
 		}
 		e.eng, e.applied = eng, info.Version
 	}
-	e.batcher = NewBatcher(e.eng, s.cfg.BatchWindow, s.cfg.BatchMaxSize,
-		s.cfg.BatchWorkers, s.metrics.flush)
-	// The entry is still private to this build, so wiring the stage
-	// observer here is race-free. Queue wait feeds both the aggregate
-	// stage histogram and the per-dataset contention one.
-	stageQueue := s.metrics.stages.With("queue")
-	dsQueue := s.metrics.queueWait.With(ds.Name)
-	e.batcher.SetStageObserver(
-		func(d time.Duration) {
-			stageQueue.ObserveDuration(d)
-			dsQueue.ObserveDuration(d)
-		},
-		s.metrics.stages.With("execute").ObserveDuration,
-	)
 }
 
 // params is one parsed query request.

@@ -54,20 +54,13 @@ func getBody(t *testing.T, hs *httptest.Server, path string) (int, http.Header, 
 	return resp.StatusCode, resp.Header, body
 }
 
-// TestCoalescedBatchByteIdentical is the acceptance end-to-end test: N
-// concurrent HTTP queries — mixed across all five endpoints — are
-// provably coalesced into a single QueryBatchOps call (long window,
-// MaxBatch = N, so the flush can only be the "full" one), and every
-// response body is byte-identical to what the same sequential pnn.Index
-// call encodes.
-func TestCoalescedBatchByteIdentical(t *testing.T) {
+// TestConcurrentMixedByteIdentical is the acceptance end-to-end test:
+// 15 concurrent HTTP queries — mixed across all five endpoints — share
+// one lazily built engine, and every response body is byte-identical
+// to what the same sequential pnn.Index call encodes.
+func TestConcurrentMixedByteIdentical(t *testing.T) {
 	reg, set := testRegistry(t)
-	srv := New(reg, Config{
-		CacheSize:    -1, // cache off: every request must reach the batcher
-		BatchWindow:  time.Minute,
-		BatchMaxSize: 15,
-		BatchWorkers: 4,
-	})
+	srv := New(reg, Config{CacheSize: -1}) // cache off: every request reaches the engine
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -121,10 +114,6 @@ func TestCoalescedBatchByteIdentical(t *testing.T) {
 			call{"/v1/expectednn?" + base, api.ExpectedNN{Dataset: "fleet", Query: qp(x, y), Index: ei, Distance: ed}},
 		)
 	}
-	if len(calls) != 15 {
-		t.Fatalf("test bug: %d calls, want 15 = BatchMaxSize", len(calls))
-	}
-
 	bodies := make([][]byte, len(calls))
 	var wg sync.WaitGroup
 	for i, c := range calls {
@@ -151,17 +140,7 @@ func TestCoalescedBatchByteIdentical(t *testing.T) {
 			t.Errorf("%s:\n got  %s want %s", c.path, bodies[i], want)
 		}
 	}
-	snap := srv.Metrics().Snapshot()
-	if snap.Batches != 1 {
-		t.Errorf("batches = %d, want exactly 1 (coalescing not proven)", snap.Batches)
-	}
-	if snap.BatchedReqs != uint64(len(calls)) {
-		t.Errorf("batched requests = %d, want %d", snap.BatchedReqs, len(calls))
-	}
-	if snap.Flushes["full"] != 1 {
-		t.Errorf("full flushes = %d, want 1", snap.Flushes["full"])
-	}
-	if snap.IndexBuilds != 1 {
+	if snap := srv.Metrics().Snapshot(); snap.IndexBuilds != 1 {
 		t.Errorf("index builds = %d, want 1 (one engine per configuration)", snap.IndexBuilds)
 	}
 }
@@ -171,7 +150,7 @@ func TestCoalescedBatchByteIdentical(t *testing.T) {
 // header and the counters.
 func TestCacheHitPath(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1}) // no coalescing delay
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -217,7 +196,7 @@ func TestEndpointsAndErrors(t *testing.T) {
 	if err := reg.Add("squares", sq); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -290,7 +269,7 @@ func TestEndpointsAndErrors(t *testing.T) {
 // irrelevant to the method are normalized into one engine.
 func TestDistinctEnginesPerConfig(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1, CacheSize: -1})
+	srv := New(reg, Config{CacheSize: -1})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -322,7 +301,7 @@ func TestDistinctEnginesPerConfig(t *testing.T) {
 // memory against adversarial parameter sweeps.
 func TestEngineCap(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1, CacheSize: -1, MaxEnginesPerDataset: 3})
+	srv := New(reg, Config{CacheSize: -1, MaxEnginesPerDataset: 3})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -364,7 +343,7 @@ func TestEngineCapNotExhaustedByFailedBuilds(t *testing.T) {
 	if err := reg.Add("sq", sq); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(reg, Config{BatchWindow: -1, CacheSize: -1, MaxEnginesPerDataset: 2})
+	srv := New(reg, Config{CacheSize: -1, MaxEnginesPerDataset: 2})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -389,22 +368,33 @@ func TestEngineCapNotExhaustedByFailedBuilds(t *testing.T) {
 	}
 }
 
-// TestRequestTimeout parks a request in a long coalescing window behind
-// a short per-request timeout and expects 503 from the timeout handler.
+// slowBuildQuery parks its request in a slow engine build: a Monte
+// Carlo quantifier with a large round budget (about 0.25 s to build).
+const slowBuildQuery = "/v1/nonzero?dataset=fleet&x=1&y=1&method=mcbudget&rounds=30000"
+
+// TestRequestTimeout parks a request in a slow engine build behind a
+// short per-request timeout and expects 503 from the timeout handler;
+// the abandoned handler then stops before running the query.
 func TestRequestTimeout(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{
-		BatchWindow:    10 * time.Second,
-		BatchMaxSize:   1000,
-		RequestTimeout: 50 * time.Millisecond,
-	})
+	srv := New(reg, Config{RequestTimeout: 20 * time.Millisecond})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
-	status, _, _ := getBody(t, hs, "/v1/nonzero?dataset=fleet&x=1&y=1")
+	status, _, _ := getBody(t, hs, slowBuildQuery)
 	if status != http.StatusServiceUnavailable {
 		t.Errorf("status = %d, want 503 from the timeout handler", status)
+	}
+	// TimeoutHandler runs the handler on its own goroutine, which keeps
+	// building after the 503; once the build ends, the engine call must
+	// see the passed deadline instead of running the query.
+	deadline := time.Now().Add(time.Minute)
+	for srv.Metrics().Snapshot().ErrorsByCode[api.CodeTimeout] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned request never reported its deadline")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -412,7 +402,7 @@ func TestRequestTimeout(t *testing.T) {
 // cleanly rather than hanging.
 func TestServerCloseFailsLateQueries(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
@@ -420,7 +410,7 @@ func TestServerCloseFailsLateQueries(t *testing.T) {
 		t.Fatalf("pre-close query failed: %d %s", status, body)
 	}
 	srv.Close()
-	// A cached query still answers (the cache outlives the batchers)...
+	// A cached query still answers (the cache outlives Close)...
 	if status, h, _ := getBody(t, hs, "/v1/nonzero?dataset=fleet&x=1&y=1"); status != http.StatusOK ||
 		h.Get(api.CacheHeader) != "hit" {
 		t.Errorf("post-close cached query: status %d cache %q, want 200 hit", status, h.Get(api.CacheHeader))
@@ -432,11 +422,11 @@ func TestServerCloseFailsLateQueries(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedLoad hammers the full stack — cache, batcher, lazy
-// engines — from many goroutines under the race detector.
+// TestConcurrentMixedLoad hammers the full stack — cache, lazy engines,
+// engine calls — from many goroutines under the race detector.
 func TestConcurrentMixedLoad(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: 500 * time.Microsecond, BatchMaxSize: 8, CacheSize: 64})
+	srv := New(reg, Config{CacheSize: 64})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -464,32 +454,32 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	snap := srv.Metrics().Snapshot()
-	if snap.CacheHits == 0 {
+	if srv.Metrics().Snapshot().CacheHits == 0 {
 		t.Error("expected cache hits under repeated mixed load")
-	}
-	if snap.Batches == 0 {
-		t.Error("expected at least one coalesced batch")
 	}
 }
 
-// TestClientContextCancelled checks a cancelled client context is
-// reported as an error status, not a hang.
+// TestClientContextCancelled checks a client that gives up while its
+// request is parked in a slow engine build gets an error, not a hang,
+// and that the server then skips the query and reports it cancelled.
 func TestClientContextCancelled(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: 10 * time.Second, BatchMaxSize: 1000, RequestTimeout: -1})
+	srv := New(reg, Config{RequestTimeout: -1})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		hs.URL+"/v1/nonzero?dataset=fleet&x=1&y=1", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, hs.URL+slowBuildQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := hs.Client().Do(req); err == nil {
 		t.Fatal("expected an error from the cancelled request")
+	}
+	hs.Close() // waits for the abandoned handler to finish its build
+	if got := srv.Metrics().Snapshot().ErrorsByCode[api.CodeCanceled]; got != 1 {
+		t.Errorf("canceled errors = %d, want 1 (the engine call must see the cancellation)", got)
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -97,7 +96,7 @@ func spanNamed(t *testing.T, tr obs.TraceData, name string) obs.SpanData {
 // WAL append, the fsync wait, and the delta apply — with parent/child
 // nesting matching the call structure.
 func TestTracedWriteEndToEnd(t *testing.T) {
-	_, hs, _ := storeServer(t, Config{BatchWindow: -1, TraceSampleRate: 1})
+	_, hs, _ := storeServer(t, Config{TraceSampleRate: 1})
 
 	if status, _, raw := tracedDo(t, hs, http.MethodPut, api.DatasetPath("a"), "", api.CreateDataset{Kind: "disks"}, testToken); status != http.StatusOK {
 		t.Fatalf("create: %d %s", status, raw)
@@ -185,7 +184,7 @@ func fetchObsSnapshot(t *testing.T, hs *httptest.Server) obs.Snapshot {
 // report can be matched to its kept trace.
 func TestTraceErrorBody(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1, TraceSampleRate: 1})
+	srv := New(reg, Config{TraceSampleRate: 1})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -201,25 +200,5 @@ func TestTraceErrorBody(t *testing.T) {
 	}
 	if e.TraceID != "00112233445566778899aabbccddeeff" {
 		t.Errorf("error body trace_id = %q, want the supplied trace ID", e.TraceID)
-	}
-}
-
-// TestQueueDepthGauge: the batcher queue-depth gauge exists per hosted
-// dataset and reads zero at rest (requests drain before the scrape).
-func TestQueueDepthGauge(t *testing.T) {
-	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
-	defer srv.Close()
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	getBody(t, hs, "/v1/nonzero?dataset=fleet&x=1&y=2")
-	status, _, body := getBody(t, hs, "/metrics")
-	if status != http.StatusOK {
-		t.Fatalf("/metrics: %d", status)
-	}
-	want := fmt.Sprintf("pnn_queue_depth{dataset=%q} 0", "fleet")
-	if !bytes.Contains(body, []byte(want)) {
-		t.Errorf("/metrics missing %q:\n%s", want, body)
 	}
 }
